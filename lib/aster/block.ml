@@ -355,14 +355,20 @@ let submit_batch bios =
 
 (* --- Buffer cache --- *)
 
-type centry = { cframe : Ostd.Frame.t; mutable dirty : bool; mutable prefetched : bool }
+type centry = { cframe : Ostd.Frame.t; mutable prefetched : bool }
 
 let cache : (int, centry) Hashtbl.t = Hashtbl.create 1024
 
 (* Background-writeback bookkeeping (dirty_ratio-style throttling). *)
 let dirty_fifo : int Queue.t = Queue.create ()
 
-let ndirty = ref 0
+(* The dirty index: the only record of which cached blocks are dirty,
+   so sync and the dirty count cost O(dirty), not O(cache). *)
+let dirty_index : (int, centry) Hashtbl.t = Hashtbl.create 256
+
+let is_dirty blockno = Hashtbl.mem dirty_index blockno
+
+let dirty_blocks () = Hashtbl.length dirty_index
 
 let flusher_running = ref false
 
@@ -412,7 +418,7 @@ let reset () =
   (* Frames belong to the old boot's metadata; just forget them. *)
   Hashtbl.reset cache;
   Queue.clear dirty_fifo;
-  ndirty := 0;
+  Hashtbl.reset dirty_index;
   flusher_running := false;
   Hashtbl.reset pinned;
   wb_err_seq := 0;
@@ -445,7 +451,7 @@ let entry_of blockno ~fill =
         Ostd.Panic.failf ~errno:e "buffer cache: read of block %d failed" blockno
     end
     else Ostd.Untyped.fill cframe ~off:0 ~len:block_size '\000';
-    let e = { cframe; dirty = false; prefetched = false } in
+    let e = { cframe; prefetched = false } in
     Hashtbl.add cache blockno e;
     e
 
@@ -481,7 +487,7 @@ let prefetch_blocks ?(mark = true) blocknos =
     List.iter
       (fun (b, f, bio) ->
         if bio_status bio = Some 0 && not (Hashtbl.mem cache b) then
-          Hashtbl.add cache b { cframe = f; dirty = false; prefetched = mark }
+          Hashtbl.add cache b { cframe = f; prefetched = mark }
         else Ostd.Frame.drop f)
       reqs
   end
@@ -493,7 +499,7 @@ let prefetch_blocks ?(mark = true) blocknos =
 let drop_clean () =
   let victims =
     Hashtbl.fold
-      (fun b e acc -> if (not e.dirty) && not (is_pinned b) then (b, e) :: acc else acc)
+      (fun b e acc -> if is_dirty b || is_pinned b then acc else (b, e) :: acc)
       cache []
   in
   List.iter
@@ -510,33 +516,30 @@ let drop_clean () =
    raise, and keeping it dirty would make the flusher spin on it). *)
 let writeback_many pairs =
   (* Sort (so adjacent dirty blocks merge) and dedup: the FIFO can name
-     a block twice, and writing it twice would corrupt [ndirty].
+     a block twice, and one write is all it needs.
      Journal-pinned blocks are skipped: their home location must stay
      untouched until the journal checkpoints them. *)
   let pairs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pairs in
-  match List.filter (fun (b, e) -> e.dirty && not (is_pinned b)) pairs with
+  match List.filter (fun (b, _) -> is_dirty b && not (is_pinned b)) pairs with
   | [] -> ()
   | dirty ->
     let reqs =
       List.map
         (fun (b, e) ->
-          (make_bio Write ~sector:(b * sectors_per_block) ~frame:e.cframe ~len:block_size (), e))
+          (make_bio Write ~sector:(b * sectors_per_block) ~frame:e.cframe ~len:block_size (), b))
         dirty
     in
     submit_batch (List.map fst reqs);
     List.iter
-      (fun (bio, e) ->
+      (fun (bio, b) ->
         (match bio_status bio with
         | Some 0 -> ()
         | Some err ->
           Sim.Stats.incr "degrade.gave_up.writeback";
           record_wb_err err
         | None -> assert false);
-        e.dirty <- false;
-        decr ndirty)
+        Hashtbl.remove dirty_index b)
       reqs
-
-let dirty_count () = !ndirty
 
 (* Background flusher: drain up to 512 dirty blocks from the FIFO per
    round, sorted and merged into batched writes (writeback coalescing —
@@ -549,11 +552,11 @@ let rec flush_batch () =
     match Queue.take_opt dirty_fifo with
     | None -> continue := false
     | Some blockno -> (
-      match Hashtbl.find_opt cache blockno with
+      match Hashtbl.find_opt dirty_index blockno with
       (* A journal-pinned victim is parked: it leaves the FIFO (so the
          flusher cannot spin on it) and is re-queued when the journal
          unpins it at checkpoint. *)
-      | Some e when e.dirty && not (is_pinned blockno) ->
+      | Some e when not (is_pinned blockno) ->
         victims := (blockno, e) :: !victims;
         decr budget
       | Some _ | None -> ())
@@ -562,25 +565,24 @@ let rec flush_batch () =
   ignore (Ostd.Wait_queue.wake_all !throttle_wq);
   (* Recurse only while the FIFO can still make progress: with every
      remaining dirty block pinned, another round would busy-spin. *)
-  if dirty_count () > bg_dirty_threshold && not (Queue.is_empty dirty_fifo) then
+  if dirty_blocks () > bg_dirty_threshold && not (Queue.is_empty dirty_fifo) then
     flush_batch ()
   else flusher_running := false
 
 let maybe_start_writeback () =
-  if !ndirty > bg_dirty_threshold && not !flusher_running then begin
+  if dirty_blocks () > bg_dirty_threshold && not !flusher_running then begin
     flusher_running := true;
     Softirq.queue_work flush_batch
   end;
   (* dirty_ratio hard wall: writers stall until the flusher catches up
      (only meaningful in task context). *)
-  if !ndirty > hard_dirty_limit && Ostd.Task.current_opt () <> None then
-    Ostd.Wait_queue.sleep_until !throttle_wq (fun () -> !ndirty <= hard_dirty_limit)
+  if dirty_blocks () > hard_dirty_limit && Ostd.Task.current_opt () <> None then
+    Ostd.Wait_queue.sleep_until !throttle_wq (fun () -> dirty_blocks () <= hard_dirty_limit)
 
 (* Every path that turns a clean block dirty goes through here. *)
 let set_dirty blockno e =
-  if not e.dirty then begin
-    e.dirty <- true;
-    incr ndirty;
+  if not (is_dirty blockno) then begin
+    Hashtbl.replace dirty_index blockno e;
     Queue.push blockno dirty_fifo;
     maybe_start_writeback ()
   end
@@ -602,8 +604,6 @@ let mark_dirty blockno =
   | Some e -> set_dirty blockno e
   | None -> ()
 
-let dirty_blocks () = !ndirty
-
 let cached_blocks () = Hashtbl.length cache
 
 (* Journal pinning. [unpin] re-queues a still-dirty block for
@@ -614,9 +614,7 @@ let pin blockno = Hashtbl.replace pinned blockno ()
 let unpin blockno =
   if Hashtbl.mem pinned blockno then begin
     Hashtbl.remove pinned blockno;
-    match Hashtbl.find_opt cache blockno with
-    | Some e when e.dirty -> Queue.push blockno dirty_fifo
-    | Some _ | None -> ()
+    if is_dirty blockno then Queue.push blockno dirty_fifo
   end
 
 let flush_device () =
@@ -653,13 +651,7 @@ let write_block_fua blockno =
         ~len:block_size ()
     in
     let r = submit_and_wait bio in
-    (match r with
-    | Ok () ->
-      if e.dirty then begin
-        e.dirty <- false;
-        decr ndirty
-      end
-    | Error _ -> ());
+    if Result.is_ok r then Hashtbl.remove dirty_index blockno;
     r
 
 (* Legacy sync(2) consumption: report an error once to the first sync
@@ -675,7 +667,7 @@ let consume_wb_err () =
    background writeback may have parked data in the device's volatile
    cache, and pushing pages to the driver is not durability. *)
 let sync () =
-  let dirty = Hashtbl.fold (fun b e acc -> if e.dirty then (b, e) :: acc else acc) cache [] in
+  let dirty = Hashtbl.fold (fun b e acc -> (b, e) :: acc) dirty_index [] in
   writeback_many dirty;
   let flushed = flush_device () in
   match consume_wb_err () with Error _ as e -> e | Ok () -> flushed
@@ -683,10 +675,7 @@ let sync () =
 let sync_blocks blocks =
   let dirty =
     List.filter_map
-      (fun b ->
-        match Hashtbl.find_opt cache b with
-        | Some e when e.dirty -> Some (b, e)
-        | Some _ | None -> None)
+      (fun b -> Option.map (fun e -> (b, e)) (Hashtbl.find_opt dirty_index b))
       (List.sort_uniq compare blocks)
   in
   writeback_many dirty;
@@ -709,7 +698,7 @@ let verify_cache_against_device () =
   let mismatches = ref 0 in
   List.iter
     (fun (blockno, e) ->
-      if not e.dirty then begin
+      if not (is_dirty blockno) then begin
         let bio =
           make_bio Read ~sector:(blockno * sectors_per_block) ~frame:scratch ~len:block_size ()
         in

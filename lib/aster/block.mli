@@ -99,8 +99,22 @@ val zero_block : int -> unit
     allocation). *)
 
 val mark_dirty : int -> unit
+
+val is_dirty : int -> bool
+(** Membership in the dirty index, the only record of which cached
+    blocks are dirty. [sync] walks just this index, so its host cost
+    follows the dirty blocks, not the cache size. *)
+
 val dirty_blocks : unit -> int
+(** The size of the dirty index. *)
+
 val cached_blocks : unit -> int
+
+val flush_batch : unit -> unit
+(** One background-writeback round, run now: write back up to 512 dirty
+    blocks taken from the writeback FIFO in dirtying order, parking the
+    journal-pinned ones. The flusher runs it from a softirq work item
+    once more than 768 blocks are dirty. *)
 
 (** {2 Journal pinning}
 

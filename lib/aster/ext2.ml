@@ -402,6 +402,7 @@ and new_disk_inode kind ~mode =
 
 and ops =
   {
+    Vfs.default_ops with
     (* kprof: the hot vnode operations fold their cycles under "ext2". *)
     lookup =
       (fun dir name ->

@@ -16,7 +16,7 @@
      slot s+n+1             commit record:
                               off 0  u32  commit magic
                               off 4  u32  seq
-                              off 8  u32  FNV-1a checksum of the content
+                              off 8  u32  checksum of the content (64-bit word fold)
    v}
 
    Barrier ordering at commit (the rules DESIGN.md §4g spells out):
@@ -155,14 +155,28 @@ let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-(* FNV-1a, folded to 32 bits, seeded with the transaction seq so a
-   stale commit record can never vouch for fresh content. *)
+(* One checksum step over a 64-bit word. The multiply by an odd prime
+   and the xor-shift are both bijections of the state, so flipping any
+   bit of [w] changes the result. The state stays in [Int64]: an [int]
+   would drop bit 63, and truncating each product to 32 bits would drop
+   the high half of every word. *)
+let mix x w =
+  let y = Int64.mul (Int64.logxor x w) 0x100000001b3L in
+  Int64.logxor y (Int64.shift_right_logical y 29)
+
+(* Fold the content blocks in a 64-bit little-endian word at a time,
+   then fold the state to 32 bits. Seeded with the transaction seq, so
+   a stale commit record can never vouch for fresh content. *)
 let checksum ~txn_seq contents =
-  let h = ref 0x811c9dc5 in
-  let fold c = h := (!h lxor c) * 0x01000193 land 0xffffffff in
-  fold (txn_seq land 0xff);
-  List.iter (fun b -> Bytes.iter (fun c -> fold (Char.code c)) b) contents;
-  !h
+  let fold_block x b =
+    let x = ref x in
+    for i = 0 to (Bytes.length b / 8) - 1 do
+      x := mix !x (Bytes.get_int64_le b (8 * i))
+    done;
+    !x
+  in
+  let x = List.fold_left fold_block (mix 0xcbf29ce484222325L (Int64.of_int txn_seq)) contents in
+  Int64.to_int (Int64.logxor x (Int64.shift_right_logical x 32)) land 0xffffffff
 
 (* --- Journal superblock --- *)
 

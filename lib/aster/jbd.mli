@@ -58,6 +58,12 @@ val replay : unit -> unit
     everything after it, then reset the journal. The log of what
     happened is available from {!recovery_log}. *)
 
+val checksum : txn_seq:int -> bytes list -> int
+(** The 32-bit checksum a commit record carries over its transaction's
+    content blocks (whole 64-bit words; block lengths are multiples of
+    8). Seeded with the transaction's seq, so the same contents under
+    another seq check differently. Commit and replay both use it. *)
+
 val recovery_log : unit -> string list
 (** Deterministic description of the last {!replay}: same disk image in,
     byte-identical log out. *)

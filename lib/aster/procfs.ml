@@ -9,31 +9,46 @@ let writers : (string, string -> (unit, int) result) Hashtbl.t = Hashtbl.create 
 
 let register_writer name fn = Hashtbl.replace writers name fn
 
-type Vfs.priv += Proc_file of string | Proc_root
+(* [Proc_open] is one open file's view of [Proc_file name]: it holds the
+   content generated by the last read at offset 0, and later reads of
+   the same open file are served from that copy (single_open-style), so
+   a chunked read is O(n) and never torn by counters moving between
+   chunks. *)
+type Vfs.priv += Proc_file of string | Proc_open of string * string option ref | Proc_root
+
+let generate name =
+  match Hashtbl.find_opt generators name with
+  | None -> Error Errno.enoent
+  | Some gen -> Ok (gen ())
 
 let file_ops =
   {
     Vfs.default_ops with
     read =
       (fun i ~pos ~buf ~boff ~len ->
-        match i.Vfs.priv with
-        | Proc_file name -> (
-          match Hashtbl.find_opt generators name with
-          | None -> Error Errno.enoent
-          | Some gen ->
-            let content = gen () in
-            let clen = String.length content in
-            if pos >= clen then Ok 0
+        let content =
+          match i.Vfs.priv with
+          | Proc_file name -> generate name
+          | Proc_open (_, { contents = Some snap }) when pos > 0 -> Ok snap
+          | Proc_open (name, snap) ->
+            let r = generate name in
+            snap := Result.to_option r;
+            r
+          | _ -> Error Errno.einval
+        in
+        Result.map
+          (fun content ->
+            let n = min len (String.length content - pos) in
+            if n <= 0 then 0
             else begin
-              let n = min len (clen - pos) in
               Bytes.blit_string content pos buf boff n;
-              Ok n
+              n
             end)
-        | _ -> Error Errno.einval);
+          content);
     write =
       (fun i ~pos:_ ~buf ~boff ~len ->
         match i.Vfs.priv with
-        | Proc_file name -> (
+        | Proc_file name | Proc_open (name, _) -> (
           match Hashtbl.find_opt writers name with
           | None -> Error Errno.einval
           | Some fn -> (
@@ -41,6 +56,11 @@ let file_ops =
             | Ok () -> Ok len
             | Error e -> Error e))
         | _ -> Error Errno.einval);
+    open_file =
+      (fun i ->
+        match i.Vfs.priv with
+        | Proc_file name -> { i with Vfs.priv = Proc_open (name, ref None) }
+        | _ -> i);
   }
 
 (* Inodes are generated on demand and cached per name so ino stays

@@ -29,11 +29,23 @@ let rec user_write proc ~vaddr buf =
     else Error Errno.efault
 
 let read_str proc vaddr =
-  (* NUL-terminated, capped at a page. *)
+  (* NUL-terminated, capped at a page, read in 64-byte chunks. As in
+     strncpy_from_user, a chunk that faults falls back to the bytes
+     before the next page boundary, so a string whose NUL ends the last
+     mapped page reads whole instead of failing on the page after it. *)
+  let page = Ostd.Vmspace.page_size in
   let rec scan acc off =
-    if off >= 4096 then Error Errno.einval
+    if off >= page then Error Errno.einval
     else
-      match user_read proc ~vaddr:(vaddr + off) ~len:(min 64 (4096 - off)) with
+      let addr = vaddr + off in
+      let len = min 64 (page - off) and to_page_end = page - (addr mod page) in
+      let chunk =
+        match user_read proc ~vaddr:addr ~len with
+        | Error e when e = Errno.efault && to_page_end < len ->
+          user_read proc ~vaddr:addr ~len:to_page_end
+        | r -> r
+      in
+      match chunk with
       | Error e -> Error e
       | Ok chunk -> (
         match Bytes.index_opt chunk '\000' with
@@ -255,7 +267,7 @@ let do_open proc path flags mode =
         let p = fifo_pipe inode in
         if flags land 3 = 0 then File.Pipe_read p else File.Pipe_write p
       end
-      else File.Inode_file inode
+      else File.Inode_file (inode.Vfs.ops.Vfs.open_file inode)
     in
     let f = File.make desc ~flags in
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.open_misc;

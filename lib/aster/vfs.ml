@@ -29,6 +29,7 @@ and ops = {
   link : inode -> string -> inode -> (unit, int) result;
   symlink_target : inode -> string option;
   set_symlink : inode -> string -> (unit, int) result;
+  open_file : inode -> inode;
 }
 
 type priv += No_priv
@@ -47,6 +48,7 @@ let default_ops =
     link = (fun _ _ _ -> Error Errno.enosys);
     symlink_target = (fun _ -> None);
     set_symlink = (fun _ _ -> Error Errno.enosys);
+    open_file = Fun.id;
   }
 
 let next_ino = ref 1

@@ -37,6 +37,10 @@ and ops = {
   link : inode -> string -> inode -> (unit, int) result;
   symlink_target : inode -> string option;
   set_symlink : inode -> string -> (unit, int) result;
+  open_file : inode -> inode;
+      (** open(2) reads and writes through the inode this returns, so a
+          file system can give each open file its own state (procfs
+          snapshots). The default returns the inode itself. *)
 }
 
 val default_ops : ops

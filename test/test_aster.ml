@@ -517,6 +517,94 @@ let test_proc_read () =
   in
   check_int "exit code" 0 code
 
+(* /proc reads serve one snapshot per open file: the read at offset 0
+   generates the content and later chunks of the same open file come
+   from that copy, so a counter that moves between chunks can neither
+   tear a row nor shift bytes. The next read at offset 0 regenerates. *)
+let test_proc_snapshot_per_open () =
+  let moving = "test.kstat.moving" in
+  let read_chunks c fd =
+    let b = Buffer.create 4096 in
+    let rec go n =
+      let s = Apps.Libc.read_str c ~fd ~len:61 in
+      if s = "" then n
+      else begin
+        Buffer.add_string b s;
+        Sim.Stats.add moving 1000;
+        go (n + 1)
+      end
+    in
+    let n = go 0 in
+    (Buffer.contents b, n)
+  in
+  let first = ref ("", 0) and again = ref ("", 0) in
+  let code =
+    run_user (fun c ->
+        Sim.Stats.add moving 7;
+        let fd = Apps.Libc.openf c "/proc/kstat" ~flags:0 ~mode:0 in
+        if fd < 0 then 1
+        else begin
+          first := read_chunks c fd;
+          ignore (Apps.Libc.lseek c ~fd ~off:0 ~whence:0);
+          again := read_chunks c fd;
+          ignore (Apps.Libc.close c fd);
+          0
+        end)
+  in
+  check_int "exit code" 0 code;
+  let rows s =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | [ name; v ] -> Option.map (fun v -> (name, v)) (int_of_string_opt v)
+        | _ -> None)
+      (String.split_on_char '\n' s)
+  in
+  let text, chunks = !first in
+  check "read in many chunks" true (chunks > 10);
+  Alcotest.(check (option int)) "every chunk shows the first read's value" (Some 7)
+    (List.assoc_opt moving (rows text));
+  let names = List.map fst (rows text) in
+  check_int "no counter row duplicated or torn" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (option int)) "a read at offset 0 regenerates" (Some (7 + (1000 * chunks)))
+    (List.assoc_opt moving (rows (fst !again)))
+
+(* read_str never reads past the page that holds the NUL, as
+   strncpy_from_user: a path whose NUL is the last byte of the last
+   mapped page opens, the same bytes without the NUL fault, and a path
+   straddling two mapped pages still reads whole. *)
+let test_path_nul_at_last_mapped_byte () =
+  let edge = ref 1 and no_nul = ref 1 and straddle = ref 1 in
+  let code =
+    run_user (fun c ->
+        let page = Ostd.Vmspace.page_size in
+        let put addr s = (Apps.Libc.raw c).Ostd.User.mem_write addr (Bytes.of_string s) in
+        (* 0 when the path opened, -errno otherwise. *)
+        let open_at addr flags =
+          let fd =
+            Apps.Libc.syscall c Aster.Syscall_nr.open_ [| Int64.of_int addr; flags; 0o644L |]
+          in
+          if fd < 0 then fd else Apps.Libc.close c fd
+        in
+        let path = "/ext2/ends-at-the-page-edge" in
+        (* mmap leaves an unmapped guard page after every mapping. *)
+        let page_end = Apps.Libc.mmap c ~len:page + page in
+        let addr = page_end - String.length path - 1 in
+        put addr (path ^ "\000");
+        edge := open_at addr 0o102L;
+        put (page_end - 1) "x";
+        no_nul := open_at addr 0L;
+        let mid = Apps.Libc.mmap c ~len:(2 * page) + page - 9 in
+        put mid "/ext2/straddles-two-mapped-pages\000";
+        straddle := open_at mid 0o102L;
+        0)
+  in
+  check_int "exit code" 0 code;
+  check_int "NUL on the last mapped byte opens" 0 !edge;
+  check_int "no NUL before the unmapped page faults" (-Aster.Errno.efault) !no_nul;
+  check_int "a path straddling two mapped pages opens" 0 !straddle
+
 let test_proc_observability_entries () =
   (* The ktrace surface: /proc/ktrace (ring state), /proc/kstat
      (counters + histograms), /proc/faults (chaos quartet). Each must
@@ -811,6 +899,164 @@ let test_fsync_only_flushes_that_file () =
      after fsync(a) there must be *some* dirty block left from b. *)
   check "file b still dirty in cache" true (Aster.Block.dirty_blocks () > 0)
 
+(* The dirty index against a full-scan oracle. A seeded random mix of
+   every buffer-cache operation that dirties, cleans, pins or writes
+   back a block runs on the last blocks of the device, which a fresh
+   ext2 image leaves unused. The oracle models the dirty set, the cached
+   bytes and the device's bytes. After every step the index must hold
+   exactly the modelled dirty set, [dirty_blocks] must be its size, and
+   a read of every block in the range straight from the device must
+   match the model: a pinned block written home, a dirty block the
+   flusher missed, or a clean block that never reached the device all
+   show up as a device mismatch. *)
+let test_dirty_index_differential () =
+  ignore (boot ());
+  let module B = Aster.Block in
+  let bs = B.block_size in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s failed with errno %d" what e
+  in
+  ok "initial sync" (B.sync ());
+  (* Journal-pinned metadata survives a sync; it stays dirty throughout. *)
+  let outside = B.dirty_blocks () in
+  let nblocks = 40 in
+  let first = (B.capacity_sectors () / B.sectors_per_block) - nblocks in
+  let blocks = List.init nblocks (fun i -> first + i) in
+  let scratch = Ostd.Frame.alloc ~untyped:true () in
+  let read_device b =
+    let bio = B.make_bio B.Read ~sector:(b * B.sectors_per_block) ~frame:scratch ~len:bs () in
+    ok (Printf.sprintf "device read of block %d" b) (B.submit_and_wait bio);
+    let buf = Bytes.create bs in
+    Ostd.Untyped.read_bytes scratch ~off:0 ~buf ~pos:0 ~len:bs;
+    buf
+  in
+  let disk = Hashtbl.create 64 and cache = Hashtbl.create 64 in
+  let dirty = Hashtbl.create 64 and pinned = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace disk b (read_device b)) blocks;
+  let cached b =
+    match Hashtbl.find_opt cache b with
+    | Some c -> c
+    | None ->
+      let c = Bytes.copy (Hashtbl.find disk b) in
+      Hashtbl.replace cache b c;
+      c
+  in
+  let write_home b =
+    if Hashtbl.mem dirty b && not (Hashtbl.mem pinned b) then begin
+      Hashtbl.replace disk b (Bytes.copy (Hashtbl.find cache b));
+      Hashtbl.remove dirty b
+    end
+  in
+  let rng = Random.State.make [| 12 |] in
+  let pick () = first + Random.State.int rng nblocks in
+  let random_bytes n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let seen = Hashtbl.create 16 in
+  let step i =
+    let b = pick () in
+    let what =
+      match Random.State.int rng 12 with
+      | 0 | 1 ->
+        let data = random_bytes bs in
+        B.write_to_block b ~off:0 ~buf:data ~pos:0 ~len:bs;
+        Hashtbl.replace cache b data;
+        Hashtbl.replace dirty b ();
+        "write_whole"
+      | 2 | 3 ->
+        let off = Random.State.int rng bs in
+        let len = 1 + Random.State.int rng (bs - off) in
+        let data = random_bytes len in
+        B.write_to_block b ~off ~buf:data ~pos:0 ~len;
+        Bytes.blit data 0 (cached b) off len;
+        Hashtbl.replace dirty b ();
+        "write_partial"
+      | 4 ->
+        B.zero_block b;
+        Hashtbl.replace cache b (Bytes.make bs '\000');
+        Hashtbl.replace dirty b ();
+        "zero_block"
+      | 5 ->
+        B.mark_dirty b;
+        if Hashtbl.mem cache b then Hashtbl.replace dirty b ();
+        "mark_dirty"
+      | 6 ->
+        (* FUA bypasses pinning by design (the journal's commit record
+           is never pinned), so the model only FUA-writes unpinned blocks. *)
+        if not (Hashtbl.mem pinned b) then begin
+          ok "write_block_fua" (B.write_block_fua b);
+          if Hashtbl.mem cache b then begin
+            Hashtbl.replace dirty b ();
+            write_home b
+          end
+        end;
+        "write_block_fua"
+      | 7 ->
+        let some = List.init (1 + Random.State.int rng 6) (fun _ -> pick ()) in
+        ok "sync_blocks" (B.sync_blocks some);
+        List.iter write_home some;
+        "sync_blocks"
+      | 8 ->
+        ok "sync" (B.sync ());
+        List.iter write_home blocks;
+        "sync"
+      | 9 ->
+        B.pin b;
+        Hashtbl.replace pinned b ();
+        "pin"
+      | 10 ->
+        B.unpin b;
+        Hashtbl.remove pinned b;
+        "unpin"
+      | _ ->
+        (* Every dirty unpinned block is in the writeback FIFO, and the
+           range is under one round's budget, so a round writes them all. *)
+        B.flush_batch ();
+        List.iter write_home blocks;
+        "flusher_round"
+    in
+    Hashtbl.replace seen what ();
+    List.iter
+      (fun b ->
+        if B.is_dirty b <> Hashtbl.mem dirty b then
+          Alcotest.failf "step %d (%s): block %d is %sin the dirty index" i what b
+            (if B.is_dirty b then "" else "not ");
+        if not (Bytes.equal (read_device b) (Hashtbl.find disk b)) then
+          Alcotest.failf "step %d (%s): device block %d differs from the oracle%s" i what b
+            (if Hashtbl.mem pinned b then " (pinned, written home)" else ""))
+      blocks;
+    if B.dirty_blocks () <> outside + Hashtbl.length dirty then
+      Alcotest.failf "step %d (%s): dirty_blocks %d, oracle %d" i what (B.dirty_blocks ())
+        (outside + Hashtbl.length dirty)
+  in
+  for i = 1 to 400 do
+    step i
+  done;
+  check_int "every operation exercised" 10 (Hashtbl.length seen);
+  (* A writeback error: the flusher cannot raise, so the block leaves
+     the index and the error is recorded for the next sync. *)
+  List.iter B.unpin blocks;
+  ok "sync before the error" (B.sync ());
+  let victims = [ first; first + 1; first + 2 ] in
+  List.iter (fun b -> B.write_to_block b ~off:0 ~buf:(random_bytes bs) ~pos:0 ~len:bs) victims;
+  let seq0 = B.wb_errseq () and gave_up0 = Sim.Stats.get "degrade.gave_up.writeback" in
+  Sim.Fault.configure ~seed:3L [ ("blk.io_error", 1.0) ];
+  B.flush_batch ();
+  Sim.Fault.disable ();
+  List.iter
+    (fun b -> check (Printf.sprintf "failed block %d left the index" b) false (B.is_dirty b))
+    victims;
+  check_int "dirty_blocks after the error" outside (B.dirty_blocks ());
+  check "sticky error recorded" true (B.wb_errseq () > seq0);
+  check_int "each dropped block counted" (gave_up0 + 3)
+    (Sim.Stats.get "degrade.gave_up.writeback");
+  check "the next sync reports it" true (B.sync () = Error Aster.Errno.eio);
+  (* reset empties the index. *)
+  B.zero_block first;
+  check "dirty before reset" true (B.is_dirty first);
+  B.reset ();
+  check_int "no dirty blocks after reset" 0 (B.dirty_blocks ());
+  check "index forgot the block" false (B.is_dirty first)
+
 (* Write a patterned file, evict the clean cache, and read it back
    sequentially through the batched pipeline. Data must be exact and the
    blk.* counters must show merging + readahead actually happened. *)
@@ -1044,6 +1290,9 @@ let () =
           Alcotest.test_case "ext2_bigfile" `Quick test_ext2_bigfile_indirect;
           Alcotest.test_case "proc_read" `Quick test_proc_read;
           Alcotest.test_case "proc_observability" `Quick test_proc_observability_entries;
+          Alcotest.test_case "proc_snapshot_per_open" `Quick test_proc_snapshot_per_open;
+          Alcotest.test_case "path_nul_at_last_mapped_byte" `Quick
+            test_path_nul_at_last_mapped_byte;
         ] );
       ( "process",
         [
@@ -1060,6 +1309,7 @@ let () =
           Alcotest.test_case "cfs_nice_weights" `Quick test_cfs_nice_weights;
           Alcotest.test_case "writeback_throttle" `Quick test_block_writeback_throttling;
           Alcotest.test_case "fsync_scope" `Quick test_fsync_only_flushes_that_file;
+          Alcotest.test_case "dirty_index_differential" `Quick test_dirty_index_differential;
           Alcotest.test_case "batched_seq_read" `Quick test_batched_seq_read;
           Alcotest.test_case "unbatched_parity" `Quick test_unbatched_profile_parity;
           Alcotest.test_case "span_bio_conservation" `Quick test_span_bio_conservation;

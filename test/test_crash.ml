@@ -96,6 +96,59 @@ let test_replay_and_stats () =
   Alcotest.(check (list string)) "fsck clean after replay" [] v1.Apps.Crash.fsck;
   Alcotest.(check (list string)) "oracle clean after replay" [] v1.Apps.Crash.violations
 
+(* The commit record's checksum must notice any single flipped bit in
+   any content block: the high half of a word (bytes 4-7), bit 63 and
+   the last word of a block included. Exhaustive over three random
+   4 KiB blocks (98,304 flips). *)
+let test_checksum_single_bit_flips () =
+  let rng = Random.State.make [| 4 |] in
+  let blocks =
+    List.init 3 (fun _ -> Bytes.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let sum () = Aster.Jbd.checksum ~txn_seq:17 blocks in
+  let base = sum () in
+  let flip blk byte bit =
+    let b = List.nth blocks blk in
+    Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)))
+  in
+  let changed blk byte bit =
+    flip blk byte bit;
+    let c = sum () in
+    flip blk byte bit;
+    c <> base
+  in
+  check "byte 4 of a word" true (changed 0 4 0);
+  check "byte 7 of a word" true (changed 1 (8 * 100 + 7) 5);
+  check "bit 63 of a word" true (changed 2 (8 * 7 + 7) 7);
+  check "bit 63 of the last word" true (changed 2 4095 7);
+  check "bit 0 of the last word" true (changed 0 4088 0);
+  List.iteri
+    (fun blk b ->
+      for byte = 0 to Bytes.length b - 1 do
+        for bit = 0 to 7 do
+          if not (changed blk byte bit) then
+            Alcotest.failf "flipping bit %d of byte %d of block %d left the checksum at %x" bit
+              byte blk base
+        done
+      done)
+    blocks;
+  check_int "flips restored the contents" base (sum ())
+
+(* The seq seeding: a stale commit record must not vouch for the same
+   contents under another transaction, including seqs 256 apart. *)
+let test_checksum_seeded_by_seq () =
+  let blocks = [ Bytes.make 4096 'a'; Bytes.make 4096 '\000' ] in
+  List.iter
+    (fun (a, b) ->
+      check
+        (Printf.sprintf "seq %d and seq %d check differently" a b)
+        true
+        (Aster.Jbd.checksum ~txn_seq:a blocks <> Aster.Jbd.checksum ~txn_seq:b blocks))
+    [ (1, 2); (2, 258); (7, 7 + 256); (1000, 1001); (65536, 0) ];
+  check "fits the record's u32 field" true
+    (let c = Aster.Jbd.checksum ~txn_seq:3 blocks in
+     c >= 0 && c <= 0xffffffff)
+
 let () =
   Alcotest.run "crash"
     [
@@ -112,4 +165,9 @@ let () =
         ] );
       ( "replay",
         [ Alcotest.test_case "replay_and_stats" `Quick test_replay_and_stats ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "single_bit_flips" `Quick test_checksum_single_bit_flips;
+          Alcotest.test_case "seeded_by_seq" `Quick test_checksum_seeded_by_seq;
+        ] );
     ]
