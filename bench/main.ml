@@ -11,20 +11,6 @@
 
 let quick = ref false
 
-(* --offloads-off: run every profile-driven benchmark with the software
-   baseline (no GSO/TSO, no GRO, no checksum offload, no zero-copy
-   sendfile). CI uses it to prove the knobs-off path still reproduces
-   the pre-offload BENCH_results.json under the --compare gate. *)
-let offloads_off = ref false
-
-let aster_p () =
-  if !offloads_off then Sim.Profile.with_all_offloads false Sim.Profile.asterinas
-  else Sim.Profile.asterinas
-
-let linux_p () =
-  if !offloads_off then Sim.Profile.with_all_offloads false Sim.Profile.linux
-  else Sim.Profile.linux
-
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
@@ -266,8 +252,8 @@ let table7 () =
   let norms = ref [] in
   List.iter
     (fun (row : Apps.Lmbench.row) ->
-      let linux = row.Apps.Lmbench.run (linux_p ()) in
-      let aster = row.Apps.Lmbench.run (aster_p ()) in
+      let linux = row.Apps.Lmbench.run Sim.Profile.linux in
+      let aster = row.Apps.Lmbench.run Sim.Profile.asterinas in
       let norm = if row.higher_better then aster /. linux else linux /. aster in
       norms := norm :: !norms;
       let p_lin, p_ast =
@@ -402,10 +388,10 @@ let table10 () =
 
 (* --- Fig. 5a: Nginx --- *)
 
-let nginx_rps ?mode profile file requests =
+let nginx_rps profile file requests =
   let k = Apps.Runner.boot ~profile in
   let host = Aster.Kernel.attach_host k in
-  Apps.Mini_nginx.spawn ?mode ~requests ~sizes:[ ("f4k", 4096); ("f64k", 65536) ] ();
+  Apps.Mini_nginx.spawn ~requests ~sizes:[ ("f4k", 4096); ("f64k", 65536) ] ();
   let out = ref nan in
   Apps.Ab.run ~host ~path:("/" ^ file) ~concurrency:32 ~requests ~on_done:(fun r ->
       out := r.Apps.Ab.rps);
@@ -419,8 +405,8 @@ let fig5a () =
   Printf.printf "%-8s %10s %10s %12s\n" "file" "linux" "aster" "aster-noIOMMU";
   List.iter
     (fun (file, n, paper) ->
-      let lin = nginx_rps (linux_p ()) file n in
-      let ast = nginx_rps (aster_p ()) file n in
+      let lin = nginx_rps Sim.Profile.linux file n in
+      let ast = nginx_rps Sim.Profile.asterinas file n in
       let percentiles = syscall_pctls () in
       let cpu = prof_top3 () in
       let spans = span_top3 () in
@@ -437,10 +423,10 @@ let fig5a () =
 
 (* --- Fig. 5b + Table 11: Redis --- *)
 
-let redis_rps ?mode profile op requests =
+let redis_rps profile op requests =
   let k = Apps.Runner.boot ~profile in
   let host = Aster.Kernel.attach_host k in
-  Apps.Mini_redis.spawn ?mode ();
+  Apps.Mini_redis.spawn ();
   let out = ref nan in
   (* Fill the shared list first, as redis-benchmark's earlier phases do. *)
   Apps.Redis_bench.run_op ~host ~op:"RPUSH" ~clients:8 ~requests:700 ~on_done:(fun _ ->
@@ -458,8 +444,8 @@ let redis_table ops =
       let n =
         if lrange then if !quick then 400 else 1200 else if !quick then 1200 else 3500
       in
-      let lin = redis_rps (linux_p ()) op n in
-      let ast = redis_rps (aster_p ()) op n in
+      let lin = redis_rps Sim.Profile.linux op n in
+      let ast = redis_rps Sim.Profile.asterinas op n in
       let percentiles = syscall_pctls () in
       let cpu = prof_top3 () in
       let spans = span_top3 () in
@@ -496,9 +482,9 @@ let sqlite_run profile =
 
 let table12 () =
   section "Table 12 / Fig. 5c: SQLite speedtest1 (virtual seconds; workload scaled down)";
-  let lin = sqlite_run (linux_p ()) in
+  let lin = sqlite_run Sim.Profile.linux in
   Aster.Strace.reset ();
-  let ast = sqlite_run (aster_p ()) in
+  let ast = sqlite_run Sim.Profile.asterinas in
   let small = Aster.Strace.small_writes () in
   let aster_pctls = syscall_pctls () in
   let aster_cpu = prof_top3 () in
@@ -959,7 +945,7 @@ let offload_matrix () =
 (* --- c10k: epoll readiness at connection scale --- *)
 
 let c10k_row ~conns ~rounds ~batch ~churn =
-  let k = Apps.Runner.boot ~profile:(aster_p ()) in
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
   let host = Aster.Kernel.attach_host k in
   Apps.C10k.spawn_server ();
   let out = ref None in
@@ -1201,18 +1187,6 @@ let smoke () =
     (big.Apps.C10k.scan_per_wait <= 2. *. small.Apps.C10k.scan_per_wait);
   expect "p99 wakeup latency independent of idle-connection count"
     (big.Apps.C10k.p99_us <= 1.5 *. small.Apps.C10k.p99_us);
-  print_endline "bench smoke: event-loop servers vs legacy thread loops";
-  (* The epoll rewrites must not tax the existing fig5a/redis rows:
-     event-loop throughput >= 0.95x the thread-per-conn loops. *)
-  let n_par = 400 in
-  let ep_nginx = nginx_rps Sim.Profile.asterinas "f4k" n_par in
-  let th_nginx = nginx_rps ~mode:`Threads Sim.Profile.asterinas "f4k" n_par in
-  let ep_redis = redis_rps Sim.Profile.asterinas "GET" 800 in
-  let th_redis = redis_rps ~mode:`Threads Sim.Profile.asterinas "GET" 800 in
-  Printf.printf "nginx f4k: epoll %.0f vs threads %.0f req/s | redis GET: epoll %.0f vs threads %.0f req/s\n"
-    ep_nginx th_nginx ep_redis th_redis;
-  expect "epoll-loop nginx holds the thread-pool row (>=0.95x)" (ep_nginx >= 0.95 *. th_nginx);
-  expect "epoll-loop redis holds the thread-per-conn row (>=0.95x)" (ep_redis >= 0.95 *. th_redis);
   if !fail then exit 1 else print_endline "bench smoke: OK"
 
 (* --- Regression gate: bench --compare BASELINE.json --- *)
@@ -1264,10 +1238,6 @@ let read_baseline path =
   close_in ic;
   !rows
 
-let gated_metric b =
-  let pre p = String.length b >= String.length p && String.sub b 0 (String.length p) = p in
-  pre "table7/" || pre "table12/"
-
 (* Latency-style units regress upward, throughput-style downward. *)
 let lower_is_better u =
   let u = String.lowercase_ascii u in
@@ -1280,7 +1250,7 @@ let compare_with_baseline path =
   List.iter
     (fun r ->
       match r.aster with
-      | Some v when gated_metric r.benchmark -> (
+      | Some v -> (
         match List.assoc_opt r.benchmark base with
         | Some (u, bv) when Float.abs bv > 1e-9 ->
           incr checked;
@@ -1289,7 +1259,7 @@ let compare_with_baseline path =
         | _ -> ())
       | _ -> ())
     !results;
-  Printf.printf "\ncompare vs %s: %d table7/table12 metrics checked, %d regressed >10%%\n" path
+  Printf.printf "\ncompare vs %s: %d metrics checked, %d regressed >10%%\n" path
     !checked
     (List.length !regressions);
   List.iter
@@ -1342,9 +1312,6 @@ let () =
     | "quick" :: rest ->
       quick := true;
       parse acc rest
-    | "--offloads-off" :: rest ->
-      offloads_off := true;
-      parse acc rest
     | "--json" :: path :: rest ->
       json_path := Some path;
       parse acc rest
@@ -1377,15 +1344,13 @@ let () =
       | None -> Printf.printf "unknown target: %s\n" t)
     targets;
   (* The committed BENCH_results.json only ever holds the full default
-     run with the default profiles: a subset invocation (smoke, one
-     ablation) or an --offloads-off validation run writes it only where
+     run: a subset invocation (smoke, one ablation) writes it only where
      --json explicitly says to, instead of clobbering the trajectory
-     file with a partial or knobs-off result set. *)
+     file with a partial result set. *)
   (match (!json_path, args) with
   | Some path, _ -> write_json ~path ~targets
-  | None, [] -> if not !offloads_off then write_json ~path:"BENCH_results.json" ~targets
+  | None, [] -> write_json ~path:"BENCH_results.json" ~targets
   | None, _ :: _ -> ());
   (* Regression gate last, after the JSON is safely on disk: exits
-     non-zero when any table7/table12 metric is >10% worse than the
-     baseline. *)
+     non-zero when any metric is >10% worse than the baseline. *)
   match !baseline with None -> () | Some path -> compare_with_baseline path

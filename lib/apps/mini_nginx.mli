@@ -2,21 +2,20 @@
     workload: accept, parse the request line, respond with headers and
     sendfile(2) of the requested document, close.
 
-    The paper's diagnosis lives in this path: with
-    [sendfile_zero_copy = false] (Asterinas) every response pays an extra
-    bounce-buffer copy, which is why its advantage shrinks as the file
-    grows (Fig. 5a). *)
+    Both profiles serve the body with zero-copy sendfile: page-cache
+    pages go to the NIC without a bounce copy. [sendfile_zero_copy =
+    false] is the software baseline, which copies each chunk through a
+    kernel buffer. *)
 
 val port : int
 
 val setup_docroot : Libc.t -> sizes:(string * int) list -> unit
 (** Create /tmp/www and one file per (name, bytes). *)
 
-val server : ?mode:[ `Epoll | `Threads ] -> requests:int -> Libc.t -> int
+val server : requests:int -> Libc.t -> int
 (** Serve exactly [requests] connections, then exit. Charges a small
-    per-request user-space cost (parsing, logging). [`Epoll] (default):
-    each worker runs its own epoll loop over the shared non-blocking
-    listener; [`Threads]: workers block in accept(2). *)
+    per-request user-space cost (parsing, logging). Each worker runs its
+    own epoll loop over the shared non-blocking listener. *)
 
-val spawn : ?mode:[ `Epoll | `Threads ] -> requests:int -> sizes:(string * int) list -> unit -> unit
+val spawn : requests:int -> sizes:(string * int) list -> unit -> unit
 (** Boot-side helper: spawn the server process with its docroot. *)

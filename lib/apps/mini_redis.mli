@@ -1,9 +1,7 @@
 (** An in-memory key-value server speaking a compact RESP-like protocol,
-    standing in for the paper's Redis workload. The default server is a
+    standing in for the paper's Redis workload. The server is a
     single-task epoll event loop (level-triggered conns, non-blocking
-    accept4-drained listener); [`Threads] keeps the legacy one kernel
-    thread per client connection (clone(2) with shared address space).
-    The data structures cover every command redis-benchmark exercises in
+    accept4-drained listener). The data structures cover every command redis-benchmark exercises in
     Table 11: strings, counters, lists, sets, hashes, sorted sets.
 
     Protocol: one request per line, space separated; replies are
@@ -11,9 +9,8 @@
 
 val port : int
 
-val spawn : ?mode:[ `Epoll | `Threads ] -> unit -> unit
-(** Spawn the server process. [`Epoll] (default): one-task event loop;
-    [`Threads]: accept loop + per-connection threads. *)
+val spawn : unit -> unit
+(** Spawn the server process. *)
 
 val command_names : string list
 (** The Table 11 operations, in paper order. *)

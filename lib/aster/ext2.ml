@@ -309,10 +309,9 @@ let data_read ino ~pos ~buf ~boff ~len =
   end
 
 (* [meta] marks content that is metadata living in file data blocks
-   (directory entries, symlink targets) — always journaled. Ordinary
-   file data is journaled only in data=journal mode. *)
+   (directory entries, symlink targets) — journaled. Ordinary file data
+   is not (ordered mode). *)
 let data_write ?(meta = false) ino ~pos ~buf ~boff ~len =
-  let journal = meta || Jbd.journals_data () in
   let moved = ref 0 in
   while !moved < len do
     let p = pos + !moved in
@@ -320,7 +319,7 @@ let data_write ?(meta = false) ino ~pos ~buf ~boff ~len =
     let chunk = min (len - !moved) (block_size - off) in
     (match bmap ino fb ~alloc:true with
     | Some b ->
-      if journal then Jbd.touch b;
+      if meta then Jbd.touch b;
       Block.write_to_block b ~off ~buf ~pos:(boff + !moved) ~len:chunk
     | None -> Ostd.Panic.panic "ext2: allocation failed during write");
     moved := !moved + chunk
@@ -660,8 +659,7 @@ let mkfs () =
   di_write root_ino di_size 0;
   di_write root_ino di_nlink 2;
   (if journaling_wanted () then begin
-     Jbd.configure ~start:journal_start ~blocks:journal_blocks
-       ~data:(Sim.Profile.get ()).Sim.Profile.ext2_journal_data;
+     Jbd.configure ~start:journal_start ~blocks:journal_blocks;
      Jbd.format ();
      Jbd.disable_journal ()
    end);
@@ -675,8 +673,7 @@ let mount () =
   alloc_hint := first_data_block;
   if sb_magic () <> magic then Ostd.Panic.panic "ext2: bad magic (not formatted?)";
   if journaling_wanted () then begin
-    Jbd.configure ~start:journal_start ~blocks:journal_blocks
-      ~data:(Sim.Profile.get ()).Sim.Profile.ext2_journal_data;
+    Jbd.configure ~start:journal_start ~blocks:journal_blocks;
     (* Recover: complete transactions are applied, torn ones discarded. *)
     Jbd.replay ()
   end

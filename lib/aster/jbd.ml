@@ -1,5 +1,5 @@
-(* JBD2-style write-ahead journal for ext2 metadata (and, with the
-   data-journal knob, file data too).
+(* JBD2-style write-ahead journal for ext2 metadata (ordered mode:
+   file data goes straight home, only metadata is journaled).
 
    On-disk format, inside a block range the filesystem reserves:
 
@@ -42,11 +42,9 @@ let commit_magic = 0x4A42_4443
 
 let block_size = Block.block_size
 
-(* Largest single transaction (home blocks per commit). Oversized
-   transactions (data-journal mode with big writes) commit in chunks;
-   each chunk is atomic on its own, which can split one file operation
-   across transactions — a documented data=journal limitation.
-   Metadata-only transactions are far smaller than this. *)
+(* Largest single transaction (home blocks per commit). An oversized
+   transaction commits in chunks; each chunk is atomic on its own, which
+   can split one file operation across transactions. *)
 let max_txn = 24
 
 (* --- Configuration and state --- *)
@@ -56,8 +54,6 @@ let jstart = ref 0
 let jblocks = ref 0
 
 let enabled = ref false
-
-let data_mode = ref false
 
 (* Sequence number of the next transaction to commit; on disk, the
    journal superblock holds the seq of the first live (unreplayed,
@@ -106,7 +102,6 @@ let reset () =
   jstart := 0;
   jblocks := 0;
   enabled := false;
-  data_mode := false;
   seq := 1;
   next_slot := 1;
   Hashtbl.reset running;
@@ -117,10 +112,9 @@ let reset () =
   gate_wq := Ostd.Wait_queue.create ();
   recovery_rev := []
 
-let configure ~start ~blocks ~data =
+let configure ~start ~blocks =
   jstart := start;
   jblocks := blocks;
-  data_mode := data;
   enabled := true;
   seq := 1;
   next_slot := 1;
@@ -131,8 +125,6 @@ let configure ~start ~blocks ~data =
 let disable_journal () = enabled := false
 
 let is_enabled () = !enabled
-
-let journals_data () = !enabled && !data_mode
 
 let recovery_log () = List.rev !recovery_rev
 

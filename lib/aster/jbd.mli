@@ -1,7 +1,7 @@
 (** JBD2-style write-ahead journal for ext2.
 
-    Transactions collect the home block numbers of dirty metadata (and,
-    in data-journal mode, data); {!commit} copies their current content
+    Transactions collect the home block numbers of dirty metadata
+    (ordered mode: file data is never journaled); {!commit} copies their current content
     into the journal area behind two barriers — descriptor + content
     made durable with a device flush, then a checksummed commit record
     written FUA — and {!checkpoint} lazily writes the homes and reuses
@@ -13,15 +13,13 @@
     Stats: [jbd.commit], [jbd.replayed], [jbd.torn_discarded],
     [jbd.checkpoint]; cycles fold under the kprof scope ["jbd"]. *)
 
-val configure : start:int -> blocks:int -> data:bool -> unit
+val configure : start:int -> blocks:int -> unit
 (** Install the journal area (block numbers [start, start+blocks)) and
-    enable journaling. [data] also journals file data blocks. *)
+    enable journaling. *)
 
 val disable_journal : unit -> unit
 
 val is_enabled : unit -> bool
-
-val journals_data : unit -> bool
 
 val is_committing : unit -> bool
 (** Whether a journal commit is in progress right now (observability

@@ -39,6 +39,8 @@ let cksum_off = Machine.Pktfmt.cksum_off
 
 let mss = Machine.Pktfmt.mss
 
+let gso_max_size = 64 * 1024
+
 let cksum = Machine.Pktfmt.cksum
 
 let release_pins p =

@@ -33,6 +33,10 @@ val header_size : int
 val mss : int
 (** Maximum segment payload carried per packet. *)
 
+val gso_max_size : int
+(** Super-segment payload cap with GSO/TSO and GRO, bytes; also the
+    loopback segment limit. *)
+
 val encode : t -> bytes
 (** Serialize, stamping a 32-bit checksum over header and payload. *)
 

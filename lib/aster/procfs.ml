@@ -404,7 +404,7 @@ let standard_entries () =
       String.concat ""
         [
           Printf.sprintf "tcp-segmentation-offload: %s (gso_max_size %d)\n"
-            (b p.Sim.Profile.tcp_gso) p.Sim.Profile.gso_max_size;
+            (b p.Sim.Profile.tcp_gso) Packet.gso_max_size;
           Printf.sprintf "generic-receive-offload: %s\n" (b p.Sim.Profile.net_gro);
           Printf.sprintf "tx-checksumming: %s\n" (b p.Sim.Profile.csum_tx_offload);
           Printf.sprintf "rx-checksumming: %s\n" (b p.Sim.Profile.csum_rx_offload);

@@ -111,7 +111,6 @@ and conn = {
   mutable state : conn_state;
   (* send side *)
   txq : Fifo.t;
-  sndbuf_cap : int;
   inflight : (int * Bytes.t) Queue.t; (* (seq, payload) *)
   mutable snd_una : int;
   mutable snd_nxt : int;
@@ -147,11 +146,14 @@ let handshake_max_tries = 8
 
 let initial_cwnd = 10 * mss
 
+(* Send-buffer capacity per connection, bytes. *)
+let sndbuf_cap = 256 * 1024
+
 let key c = (c.lport, c.rip, c.rport)
 
 (* Per-segment transmit processing; sub-MSS writes are charged at the
    send(2) call instead (see [send]). With GSO a "segment" here is a
-   super-segment of up to gso_max_size bytes — one charge for what the
+   super-segment of up to [Packet.gso_max_size] bytes — one charge for what the
    software baseline pays per MSS. Checksum offload carves the software
    checksum share out of the per-segment cost: the device computes it. *)
 let charge_tx eng =
@@ -192,26 +194,24 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
   let p = Sim.Profile.get () in
   let loopback = rip = Netstack.loopback_ip || rip = Netstack.ip eng.stack in
   (* Loopback behaves like an infinite-MTU device; on the wire, GSO/TSO
-     hands super-segments (up to the profile's gso_max_size) to the NIC,
+     hands super-segments (up to [Packet.gso_max_size]) to the NIC,
      which splits them into MSS wire frames at ring time, while a stack
      without the offload segments to MSS in software. Host-side client
      stacks model the host's Linux and always use GSO (the host bridge
      performs the wire split, see {!Kernel.attach_host}). *)
   let wire_seg =
-    if p.Sim.Profile.tcp_gso || Netstack.is_host eng.stack then p.Sim.Profile.gso_max_size
-    else mss
+    if p.Sim.Profile.tcp_gso || Netstack.is_host eng.stack then Packet.gso_max_size else mss
   in
   let conn =
   {
     eng;
     lip;
-    seg_limit = (if loopback then p.Sim.Profile.gso_max_size else wire_seg);
+    seg_limit = (if loopback then Packet.gso_max_size else wire_seg);
     lport;
     rip;
     rport;
     state;
     txq = Fifo.create ();
-    sndbuf_cap = p.Sim.Profile.tcp_sndbuf;
     inflight = Queue.create ();
     snd_una = 0;
     snd_nxt = 0;
@@ -247,7 +247,7 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
       lor
       if
         conn.state = Established && (not conn.local_closed) && (not conn.reset)
-        && Fifo.length conn.txq < conn.sndbuf_cap
+        && Fifo.length conn.txq < sndbuf_cap
       then Pollable.pollout
       else 0);
   conn
@@ -316,7 +316,7 @@ and on_rto conn =
 
 let try_transmit conn =
   if conn.state = Established || conn.state = Syn_rcvd then begin
-    let was_full = Fifo.length conn.txq >= conn.sndbuf_cap in
+    let was_full = Fifo.length conn.txq >= sndbuf_cap in
     let continue = ref true in
     while !continue do
       let w = effective_window conn in
@@ -352,7 +352,7 @@ let try_transmit conn =
     done;
     arm_rto conn;
     (* Space may have opened up for blocked senders. *)
-    if Fifo.length conn.txq < conn.sndbuf_cap then begin
+    if Fifo.length conn.txq < sndbuf_cap then begin
       ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
       (* A full→space transition is the only genuine POLLOUT edge —
          publishing on every ACK would hand ET consumers events with
@@ -604,7 +604,7 @@ let send ?(pins = []) ?(nonblock = false) conn ~buf ~pos ~len =
     drop_pins pins;
     Error Errno.epipe
   end
-  else if nonblock && Fifo.length conn.txq >= conn.sndbuf_cap then begin
+  else if nonblock && Fifo.length conn.txq >= sndbuf_cap then begin
     (* O_NONBLOCK with a full send buffer: EAGAIN before charging the
        small-write cost — the caller parks on POLLOUT instead. *)
     drop_pins pins;
@@ -625,13 +625,13 @@ let send ?(pins = []) ?(nonblock = false) conn ~buf ~pos ~len =
     let attached = ref false in
     while
       !written < len && !err = None
-      && not (nonblock && Fifo.length conn.txq >= conn.sndbuf_cap)
+      && not (nonblock && Fifo.length conn.txq >= sndbuf_cap)
     do
       Ostd.Wait_queue.sleep_until conn.snd_wq (fun () ->
-          Fifo.length conn.txq < conn.sndbuf_cap || conn.reset);
+          Fifo.length conn.txq < sndbuf_cap || conn.reset);
       if conn.reset then err := Some Errno.epipe
       else begin
-        let space = conn.sndbuf_cap - Fifo.length conn.txq in
+        let space = sndbuf_cap - Fifo.length conn.txq in
         let n = min space (len - !written) in
         let last = !written + n = len in
         Fifo.push ?pins:(if last then Some pins else None) conn.txq buf (pos + !written) n;

@@ -358,7 +358,7 @@ let gro_rx s (p : Packet.t) =
   else begin
     let key = gro_key p in
     let len = Bytes.length p.Packet.payload in
-    let cap = (Sim.Profile.get ()).Sim.Profile.gso_max_size in
+    let cap = Packet.gso_max_size in
     let fits g = p.Packet.seq = g.g_next_seq && g.g_total + len <= cap in
     match Hashtbl.find_opt s.gro key with
     | Some g when fits g ->

@@ -1,7 +1,6 @@
 (** Log-bucketed (HDR-style) latency histograms.
 
-    Replaces unbounded [Stats.sample] lists on hot paths: constant
-    memory, O(1) record, and percentile estimates whose relative error
+    Constant memory, O(1) record, and percentile estimates whose relative error
     is bounded by the sub-bucket width (1/16 of an octave). Buckets
     track count and sum, so a percentile that lands in a bucket reports
     that bucket's mean — exact for constant and two-point

@@ -74,12 +74,10 @@ type t = {
   blk_batching : bool;
   blk_readahead : bool;
   ext2_journal : bool;
-  ext2_journal_data : bool;
   net_tx_batching : bool;
   net_irq_coalesce : bool;
   tcp_congestion_control : bool;
   tcp_gso : bool;
-  gso_max_size : int;
   net_gro : bool;
   csum_tx_offload : bool;
   csum_rx_offload : bool;
@@ -88,7 +86,6 @@ type t = {
   unix_double_copy : bool;
   pipe_buffer : int;
   unix_buffer : int;
-  tcp_sndbuf : int;
   costs : costs;
 }
 
@@ -219,12 +216,10 @@ let linux =
     blk_batching = true;
     blk_readahead = true;
     ext2_journal = true;
-    ext2_journal_data = false;
     net_tx_batching = true;
     net_irq_coalesce = true;
     tcp_congestion_control = true;
     tcp_gso = true;
-    gso_max_size = 64 * 1024;
     net_gro = true;
     csum_tx_offload = true;
     csum_rx_offload = true;
@@ -233,7 +228,6 @@ let linux =
     unix_double_copy = true;
     pipe_buffer = 64 * 1024;
     unix_buffer = 64 * 1024;
-    tcp_sndbuf = 256 * 1024;
     costs = linux_costs;
   }
 
@@ -247,12 +241,10 @@ let asterinas =
     blk_batching = true;
     blk_readahead = true;
     ext2_journal = true;
-    ext2_journal_data = false;
     net_tx_batching = true;
     net_irq_coalesce = true;
     tcp_congestion_control = false;
     tcp_gso = true;
-    gso_max_size = 64 * 1024;
     net_gro = true;
     csum_tx_offload = true;
     csum_rx_offload = true;
@@ -261,7 +253,6 @@ let asterinas =
     unix_double_copy = false;
     pipe_buffer = 256 * 1024;
     unix_buffer = 256 * 1024;
-    tcp_sndbuf = 256 * 1024;
     costs = asterinas_costs;
   }
 
@@ -271,8 +262,6 @@ let with_safety_checks b t =
   let costs = { t.costs with safety = (if b then ostd_safety else no_safety) } in
   { t with safety_checks = b; costs }
 
-let with_iommu b t = { t with iommu = b }
-
 let with_dma_pooling b t = { t with dma_pooling = b }
 
 let with_blk_batching b t = { t with blk_batching = b }
@@ -281,15 +270,11 @@ let with_blk_readahead b t = { t with blk_readahead = b }
 
 let with_ext2_journal b t = { t with ext2_journal = b }
 
-let with_ext2_journal_data b t = { t with ext2_journal_data = b }
-
 let with_net_tx_batching b t = { t with net_tx_batching = b }
 
 let with_net_irq_coalesce b t = { t with net_irq_coalesce = b }
 
 let with_tcp_gso b t = { t with tcp_gso = b }
-
-let with_gso_max_size n t = { t with gso_max_size = n }
 
 let with_net_gro b t = { t with net_gro = b }
 

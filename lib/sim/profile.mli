@@ -90,17 +90,15 @@ type t = {
                                      one doorbell + one completion IRQ per batch *)
   blk_readahead : bool;          (** sequential-stream readahead into the buffer cache *)
   ext2_journal : bool;           (** JBD2-style write-ahead metadata journal in ext2 *)
-  ext2_journal_data : bool;      (** journal file data too (data=journal mode) *)
   net_tx_batching : bool;        (** plug outgoing TCP/UDP segments into descriptor-chain
                                      bursts: one doorbell per burst instead of per packet *)
   net_irq_coalesce : bool;       (** one TX-complete IRQ per chain and NAPI-style
                                      RX: one IRQ per delivered backlog drain *)
   tcp_congestion_control : bool; (** Reno; smoltcp-style stack lacks it *)
   tcp_gso : bool;                (** GSO/TSO: TCP hands the driver super-segments (up to
-                                     [gso_max_size]) as single descriptors; the *device*
-                                     splits them into MSS wire frames at ring time *)
-  gso_max_size : int;            (** super-segment payload cap, bytes (also the loopback
-                                     segment limit) *)
+                                     [Aster.Packet.gso_max_size]) as single descriptors;
+                                     the *device* splits them into MSS wire frames at
+                                     ring time *)
   net_gro : bool;                (** RX coalescing: the driver merges in-order same-flow
                                      TCP segments into one super-segment per NAPI burst *)
   csum_tx_offload : bool;        (** device computes TX checksums; the stack skips its
@@ -112,7 +110,6 @@ type t = {
   unix_double_copy : bool;       (** skb-based unix sockets copy twice *)
   pipe_buffer : int;             (** pipe ring capacity, bytes *)
   unix_buffer : int;             (** unix stream socket buffer, bytes *)
-  tcp_sndbuf : int;
   costs : costs;
 }
 
@@ -125,16 +122,13 @@ val asterinas : t
 val asterinas_no_iommu : t
 
 val with_safety_checks : bool -> t -> t
-val with_iommu : bool -> t -> t
 val with_dma_pooling : bool -> t -> t
 val with_blk_batching : bool -> t -> t
 val with_blk_readahead : bool -> t -> t
 val with_ext2_journal : bool -> t -> t
-val with_ext2_journal_data : bool -> t -> t
 val with_net_tx_batching : bool -> t -> t
 val with_net_irq_coalesce : bool -> t -> t
 val with_tcp_gso : bool -> t -> t
-val with_gso_max_size : int -> t -> t
 val with_net_gro : bool -> t -> t
 
 val with_csum_offload : bool -> t -> t

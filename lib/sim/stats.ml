@@ -1,10 +1,6 @@
 let table : (string, int ref) Hashtbl.t = Hashtbl.create 64
 
-let series : (string, float list ref) Hashtbl.t = Hashtbl.create 16
-
-let reset () =
-  Hashtbl.reset table;
-  Hashtbl.reset series
+let reset () = Hashtbl.reset table
 
 let counter name =
   match Hashtbl.find_opt table name with
@@ -21,21 +17,6 @@ let add name n =
   r := !r + n
 
 let get name = match Hashtbl.find_opt table name with Some r -> !r | None -> 0
-
-let sample name x =
-  match Hashtbl.find_opt series name with
-  | Some r -> r := x :: !r
-  | None -> Hashtbl.add series name (ref [ x ])
-
-let samples name =
-  match Hashtbl.find_opt series name with
-  | Some r -> List.rev !r
-  | None -> []
-
-let mean name =
-  match samples name with
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
 let counters () =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table []

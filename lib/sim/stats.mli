@@ -1,4 +1,4 @@
-(** Named counters and samples collected during a simulation run.
+(** Named counters collected during a simulation run.
 
     Used for strace-style syscall histograms, IOTLB hit rates, packet
     counts, and the benchmark harness's measurements. *)
@@ -9,15 +9,6 @@ val incr : string -> unit
 val add : string -> int -> unit
 val get : string -> int
 (** Missing counters read as 0. *)
-
-val sample : string -> float -> unit
-(** Record one observation of a named series. *)
-
-val samples : string -> float list
-(** Observations in recording order (empty if none). *)
-
-val mean : string -> float
-(** Mean of a series; 0 if empty. *)
 
 val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)

@@ -4,7 +4,7 @@ type report = { entries : entry list; total_loc : int; tcb_loc : int; relative :
 
 let tcb_libs = [ "core"; "machine"; "sim" ]
 
-let kernel_libs = [ "core"; "machine"; "sim"; "aster"; "linuxsim"; "apps" ]
+let kernel_libs = [ "core"; "machine"; "sim"; "aster"; "apps" ]
 
 let count_lines file =
   let ic = open_in file in

@@ -1,7 +1,7 @@
 (** Apply the paper's TCB methodology to this repository itself: the
     privileged framework (lib/core) plus the hardware models and
     simulator substrate it needs (lib/machine, lib/sim) form the TCB;
-    the kernel services, workloads, and baseline profile are outside it;
+    the kernel services and workloads are outside it;
     analysis tooling is excluded like the Rust toolchain would be. *)
 
 type entry = { library : string; loc : int; tcb : bool }

@@ -303,6 +303,48 @@ let test_ext2_persistence_to_device () =
   check "data reached the device" true !found;
   check "no iommu faults" true (Sim.Stats.get "iommu.fault" = 0)
 
+(* Ordered mode journals metadata only: after a plain file write, before
+   any commit, the inode-table block is pinned by the running
+   transaction while the file's data block is not. *)
+let test_ext2_ordered_journals_metadata_only () =
+  ignore (boot ());
+  let seen = ref None in
+  ignore
+    (Aster.Process.spawn_kernel_style ~name:"ordered" (fun uapi ->
+         let c = Apps.Libc.make uapi in
+         let commits0 = Aster.Jbd.commits () in
+         let fd = Apps.Libc.openf c "/ext2/ordered.dat" ~flags:0o101 ~mode:0o644 in
+         ignore (Apps.Libc.write_str c ~fd (String.make 4096 'd'));
+         (* The file's disk inode is the one with size 4096 (byte 4) whose
+            direct[0] (byte 12) holds the bytes just written. *)
+         let per_block = Aster.Ext2.ninodes / Aster.Ext2.inode_table_blocks in
+         let buf = Bytes.create 4 in
+         let u32 blk off =
+           Aster.Block.read_from_block blk ~off ~buf ~pos:0 ~len:4;
+           Int32.to_int (Bytes.get_int32_le buf 0)
+         in
+         let dddd = Int32.to_int (Bytes.get_int32_le (Bytes.make 4 'd') 0) in
+         for ino = 0 to Aster.Ext2.ninodes - 1 do
+           let itable = Aster.Ext2.inode_table_start + (ino / per_block) in
+           let base = ino mod per_block * (Aster.Ext2.block_size / per_block) in
+           let data = u32 itable (base + 12) in
+           if !seen = None && u32 itable (base + 4) = 4096 && data <> 0 && u32 data 0 = dddd then
+             seen :=
+               Some
+                 ( Aster.Jbd.commits () = commits0,
+                   Aster.Block.is_pinned data,
+                   Aster.Block.is_pinned itable )
+         done;
+         ignore (Apps.Libc.close c fd);
+         0));
+  Aster.Kernel.run ();
+  match !seen with
+  | None -> Alcotest.fail "the file's disk inode was not found"
+  | Some (no_commit, data_pinned, itable_pinned) ->
+    check "no commit ran yet" true no_commit;
+    check "data block is not journaled" false data_pinned;
+    check "inode-table block is journaled" true itable_pinned
+
 let test_ext2_bigfile_indirect () =
   let code =
     run_user (fun c ->
@@ -1287,6 +1329,7 @@ let () =
           Alcotest.test_case "rename_unlink" `Quick test_rename_unlink;
           Alcotest.test_case "symlink" `Quick test_symlink;
           Alcotest.test_case "ext2_fsync" `Quick test_ext2_persistence_to_device;
+          Alcotest.test_case "ext2_ordered_mode" `Quick test_ext2_ordered_journals_metadata_only;
           Alcotest.test_case "ext2_bigfile" `Quick test_ext2_bigfile_indirect;
           Alcotest.test_case "proc_read" `Quick test_proc_read;
           Alcotest.test_case "proc_observability" `Quick test_proc_observability_entries;
