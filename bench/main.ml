@@ -3,81 +3,86 @@
 
      dune exec bench/main.exe                   # everything
      dune exec bench/main.exe -- table7 fig5a   # a subset
-     dune exec bench/main.exe -- quick          # reduced iteration counts
+     dune exec bench/main.exe -- quick fig5a    # reduced iteration counts
 
    Measured numbers come from the simulator's virtual clock; the paper's
    published values are printed alongside so the shape can be compared
    directly. *)
 
 let quick = ref false
+let sized ~quick:q full = if !quick then q else full
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
-(* --- Machine-readable results (BENCH_results.json) ---
+(* --- Rows ---
 
-   Every comparative benchmark records a row; the accumulated set is
-   written as JSON at exit so the perf trajectory is diffable run to
-   run. Schema documented in EXPERIMENTS.md. *)
+   A row is the only thing a recording target produces. One printer,
+   the JSON writer (BENCH_results.json, schema in EXPERIMENTS.md), the
+   smoke gates and --compare all work over the row list. *)
+
+type better = Higher | Lower
 
 type pctls = { pcount : int; p50 : float; p90 : float; p99 : float; pmax : float }
 
-type result = {
-  benchmark : string;
+(* Where the aster-profile run's time went: syscall-latency percentiles,
+   the top-3 kprof scopes, and the top-3 critical-path segments of the
+   dominant span class's p99 span. *)
+type obs = {
+  percentiles : pctls option;
+  cpu : Sim.Prof.frame_stat list option;
+  p99_path : (string * (string * int64) list) option;
+}
+
+type row = {
+  name : string;
   unit_ : string;
+  better : better;  (* the direction --compare gates the aster value in *)
   linux : float option;
   aster : float option;
   norm : float option;
-  percentiles : pctls option;
-  cpu : Sim.Prof.frame_stat list option;
-  spans : (string * (string * int64) list) option;
-      (* dominant span class + top-3 critical-path segments of its p99 span *)
+  paper : float option;  (* the paper's norm; printed, not written *)
+  obs : obs;
 }
 
-let results : result list ref = ref []
+let no_obs = { percentiles = None; cpu = None; p99_path = None }
 
-let add_result ?linux ?aster ?norm ?percentiles ?cpu ?spans ~unit_ benchmark =
-  results := { benchmark; unit_; linux; aster; norm; percentiles; cpu; spans } :: !results
+let row ?linux ?aster ?norm ?paper ?(obs = no_obs) ~better ~unit_ name =
+  { name; unit_; better; linux; aster; norm; paper; obs }
 
-(* Top-3 kprof scopes of the most recent run. Like the histograms, each
-   boot clears attribution, so calling this right after an
-   aster-profile workload captures exactly that run. *)
-let prof_top3 () =
-  match Sim.Prof.top_scopes ~limit:3 () with [] -> None | fs -> Some fs
+(* A linux-vs-aster pair with norm = aster/linux. Ablation rows put the
+   ablated (off) variant in the linux column, so norm > 1 is the
+   mechanism's speedup. *)
+let pair ?paper ?obs ~better ~unit_ name linux aster =
+  row ~linux ~aster ~norm:(aster /. linux) ?paper ?obs ~better ~unit_ name
 
-(* Top-3 critical-path segments of the most recent run's p99 tail span,
-   for the workload's dominant span class. Like kprof, kspan rides along
-   at zero virtual cost and each boot clears its reservoirs, so calling
-   this right after an aster-profile workload explains exactly that
-   run's tail. *)
-let span_top3 () =
-  match Sim.Span.dominant_class () with
-  | None -> None
-  | Some cls -> (
-    match Sim.Span.class_p99 cls with
-    | None -> None
-    | Some i ->
-      let rec take n = function
-        | x :: tl when n > 0 -> x :: take (n - 1) tl
-        | _ -> []
-      in
-      (match take 3 i.Sim.Span.i_path with [] -> None | top -> Some (cls, top)))
-
-(* Syscall-latency percentiles of the most recent run. Each boot resets
-   the histograms, so calling this right after an aster-profile workload
-   captures exactly that run. *)
-let syscall_pctls () =
-  match Sim.Hist.find "syscall" with
-  | Some h when Sim.Hist.count h > 0 ->
-    Some
-      {
-        pcount = Sim.Hist.count h;
-        p50 = Sim.Hist.percentile_exn h 50.;
-        p90 = Sim.Hist.percentile_exn h 90.;
-        p99 = Sim.Hist.percentile_exn h 99.;
-        pmax = Sim.Hist.max_value h;
-      }
-  | Some _ | None -> None
+(* The obs group of the most recent run. Each boot resets the
+   histograms, kprof attribution and kspan reservoirs, and both
+   profilers charge no virtual cycles, so calling this right after an
+   aster-profile run captures exactly that run. *)
+let observe () =
+  let percentiles =
+    match Sim.Hist.find "syscall" with
+    | Some h when Sim.Hist.count h > 0 ->
+      Some
+        {
+          pcount = Sim.Hist.count h;
+          p50 = Sim.Hist.percentile_exn h 50.;
+          p90 = Sim.Hist.percentile_exn h 90.;
+          p99 = Sim.Hist.percentile_exn h 99.;
+          pmax = Sim.Hist.max_value h;
+        }
+    | Some _ | None -> None
+  in
+  let cpu = match Sim.Prof.top_scopes ~limit:3 () with [] -> None | fs -> Some fs in
+  let p99_path =
+    Option.bind (Sim.Span.dominant_class ()) (fun cls ->
+        Option.bind (Sim.Span.class_p99 cls) (fun i ->
+            match List.filteri (fun k _ -> k < 3) i.Sim.Span.i_path with
+            | [] -> None
+            | top -> Some (cls, top)))
+  in
+  { percentiles; cpu; p99_path }
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -98,16 +103,16 @@ let json_float f =
 
 let json_opt_float = function None -> "null" | Some f -> json_float f
 
-let json_of_result r =
+let json_of_row r =
   let pj =
-    match r.percentiles with
+    match r.obs.percentiles with
     | None -> "null"
     | Some p ->
       Printf.sprintf {|{"count": %d, "p50": %s, "p90": %s, "p99": %s, "max": %s}|} p.pcount
         (json_float p.p50) (json_float p.p90) (json_float p.p99) (json_float p.pmax)
   in
   let cj =
-    match r.cpu with
+    match r.obs.cpu with
     | None -> "null"
     | Some fs ->
       "["
@@ -120,7 +125,7 @@ let json_of_result r =
       ^ "]"
   in
   let sj =
-    match r.spans with
+    match r.obs.p99_path with
     | None -> "null"
     | Some (cls, top) ->
       Printf.sprintf {|{"class": "%s", "top": [%s]}|} (json_escape cls)
@@ -132,92 +137,126 @@ let json_of_result r =
   in
   Printf.sprintf
     {|    {"benchmark": "%s", "unit": "%s", "linux": %s, "aster": %s, "norm": %s, "percentiles": %s, "cpu": %s, "p99_path": %s}|}
-    (json_escape r.benchmark) (json_escape r.unit_) (json_opt_float r.linux)
+    (json_escape r.name) (json_escape r.unit_) (json_opt_float r.linux)
     (json_opt_float r.aster) (json_opt_float r.norm) pj cj sj
 
-let write_json ~path ~targets =
+let write_json ~path ~targets rows =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"schema\": \"asterinas-sim-bench/3\",\n  \"quick\": %b,\n  \"targets\": [%s],\n  \"results\": [\n%s\n  ]\n}\n"
     !quick
     (String.concat ", " (List.map (fun t -> "\"" ^ json_escape t ^ "\"") targets))
-    (String.concat ",\n" (List.rev_map json_of_result !results));
+    (String.concat ",\n" (List.map json_of_row rows));
   close_out oc;
-  Printf.printf "\nwrote %d benchmark results to %s\n" (List.length !results) path
+  Printf.printf "\nwrote %d benchmark results to %s\n" (List.length rows) path
+
+let print_rows = function
+  | [] -> ()
+  | rows ->
+    let cell = function None -> "-" | Some f -> Printf.sprintf "%.6g" f in
+    let line = Printf.printf "%-44s %12s %12s %9s %9s  %-6s %s\n" in
+    line "row" "linux" "aster" "norm" "paper" "better" "unit";
+    List.iter
+      (fun r ->
+        line r.name (cell r.linux) (cell r.aster) (cell r.norm) (cell r.paper)
+          (match r.better with Higher -> "higher" | Lower -> "lower")
+          r.unit_)
+      rows;
+    flush stdout
+
+(* A gate is a named predicate over a target's rows: its two arguments
+   read the aster and the linux value of a row by name. *)
+type gate = string * ((string -> float) -> (string -> float) -> bool)
+
+let gates_failed = ref false
+
+let check_gates rows = function
+  | [] -> ()
+  | gates ->
+    let value field n =
+      match List.find_opt (fun r -> r.name = n) rows with
+      | Some r -> Option.value (field r) ~default:nan
+      | None -> invalid_arg ("gate reads unknown row " ^ n)
+    in
+    let aster = value (fun r -> r.aster) and linux = value (fun r -> r.linux) in
+    let failed = List.filter (fun (_, ok) -> not (ok aster linux)) gates in
+    List.iter (fun (name, _) -> Printf.printf "FAIL: %s\n" name) failed;
+    Printf.printf "gates: %d of %d passed\n" (List.length gates - List.length failed)
+      (List.length gates);
+    if failed <> [] then gates_failed := true
+
+(* --- Reading a results file back (--compare, the smoke pin gate) ---
+
+   The JSON this harness writes keeps each result object on one line.
+   Returns the [(benchmark, aster)] rows in file order and the
+   "targets" list. *)
+let read_results path =
+  let ic = open_in path in
+  let rows = ref [] and targets = ref [] in
+  (try
+     while true do
+       let line = input_line ic in
+       match
+         Scanf.sscanf_opt line {| {"benchmark": %S, "unit": %S, "linux": %s@, "aster": %s@,|}
+           (fun b _ _ a -> (b, float_of_string_opt a))
+       with
+       | Some r -> rows := r :: !rows
+       | None ->
+         Scanf.sscanf_opt line {| "targets": [%s@]|} (String.split_on_char ',')
+         |> Option.iter (fun ts ->
+                targets := List.filter_map (fun t -> Scanf.sscanf_opt t " %S" Fun.id) ts)
+     done
+   with End_of_file -> ());
+  close_in ic;
+  (List.rev !rows, !targets)
 
 (* --- Paper reference values --- *)
 
 let table7_paper =
   [
-    ("lat_syscall null", 0.050, 0.066);
-    ("lat_ctx 18", 0.826, 0.829);
-    ("lat_proc fork", 59.20, 57.46);
-    ("lat_proc exec", 204.8, 174.4);
-    ("lat_proc shell", 319.3, 294.3);
-    ("lat_pagefault", 0.109, 0.100);
-    ("lat_mmap 4m", 19.4, 16.80);
-    ("bw_mmap 256m", 15405., 13197.);
-    ("lat_pipe", 1.826, 1.881);
-    ("bw_pipe", 11133., 14664.);
-    ("lat_fifo", 1.825, 1.938);
-    ("lat_unix", 2.677, 2.493);
-    ("bw_unix", 7875., 14183.);
-    ("lat_syscall open", 0.611, 0.740);
-    ("lat_syscall read", 0.081, 0.088);
-    ("lat_syscall write", 0.065, 0.080);
-    ("lat_syscall stat", 0.299, 0.400);
-    ("lat_syscall fstat", 0.263, 0.231);
-    ("bw_file_rd 512m", 10238., 9198.);
-    ("lmdd(Ramfs->Ramfs)", 3219., 2973.);
-    ("lmdd(Ramfs->Ext2)", 2490., 2612.);
-    ("lmdd(Ext2->Ramfs)", 3453., 2962.);
-    ("lmdd(Ext2->Ext2)", 2017., 2626.);
-    ("lat_udp (loopback)", 3.801, 2.427);
-    ("lat_tcp (loopback)", 5.326, 2.725);
-    ("bw_tcp 128 (loopback)", 280.0, 356.5);
-    ("bw_tcp 64k (loopback)", 6216., 7647.);
-    ("lat_udp (virtio)", 15.03, 11.49);
-    ("lat_tcp (virtio)", 16.75, 12.94);
-    ("bw_tcp 128 (virtio)", 328.7, 333.2);
-    ("bw_tcp 64k (virtio)", 1151., 1116.);
+    ("lat_syscall null", (0.050, 0.066)); ("lat_ctx 18", (0.826, 0.829));
+    ("lat_proc fork", (59.20, 57.46)); ("lat_proc exec", (204.8, 174.4));
+    ("lat_proc shell", (319.3, 294.3)); ("lat_pagefault", (0.109, 0.100));
+    ("lat_mmap 4m", (19.4, 16.80)); ("bw_mmap 256m", (15405., 13197.));
+    ("lat_pipe", (1.826, 1.881)); ("bw_pipe", (11133., 14664.));
+    ("lat_fifo", (1.825, 1.938)); ("lat_unix", (2.677, 2.493));
+    ("bw_unix", (7875., 14183.)); ("lat_syscall open", (0.611, 0.740));
+    ("lat_syscall read", (0.081, 0.088)); ("lat_syscall write", (0.065, 0.080));
+    ("lat_syscall stat", (0.299, 0.400)); ("lat_syscall fstat", (0.263, 0.231));
+    ("bw_file_rd 512m", (10238., 9198.)); ("lmdd(Ramfs->Ramfs)", (3219., 2973.));
+    ("lmdd(Ramfs->Ext2)", (2490., 2612.)); ("lmdd(Ext2->Ramfs)", (3453., 2962.));
+    ("lmdd(Ext2->Ext2)", (2017., 2626.)); ("lat_udp (loopback)", (3.801, 2.427));
+    ("lat_tcp (loopback)", (5.326, 2.725)); ("bw_tcp 128 (loopback)", (280.0, 356.5));
+    ("bw_tcp 64k (loopback)", (6216., 7647.)); ("lat_udp (virtio)", (15.03, 11.49));
+    ("lat_tcp (virtio)", (16.75, 12.94)); ("bw_tcp 128 (virtio)", (328.7, 333.2));
+    ("bw_tcp 64k (virtio)", (1151., 1116.));
   ]
 
 let redis_paper =
   [
-    ("PING_INLINE", 151022., 213342., 211694.);
-    ("PING_MBULK", 157979., 220976., 218041.);
-    ("SET", 153391., 211648., 210302.);
-    ("GET", 155994., 218670., 219300.);
-    ("INCR", 152133., 219217., 219302.);
-    ("LPUSH", 149887., 211692., 211960.);
-    ("RPUSH", 150505., 214605., 214054.);
-    ("LPOP", 148348., 209365., 209309.);
-    ("RPOP", 150714., 210426., 210139.);
-    ("SADD", 156514., 217682., 217878.);
-    ("HSET", 152276., 209336., 211664.);
-    ("SPOP", 157351., 217016., 221988.);
-    ("ZADD", 149386., 206069., 207480.);
-    ("ZPOPMIN", 158361., 219784., 221895.);
-    ("LRANGE_100", 92696., 114472., 113062.);
-    ("LRANGE_300", 39268., 39732., 39629.);
-    ("LRANGE_500", 27430., 27843., 27338.);
-    ("LRANGE_600", 23876., 23649., 23675.);
-    ("MSET", 125747., 160041., 157920.);
+    ("PING_INLINE", (151022., 213342.)); ("PING_MBULK", (157979., 220976.));
+    ("SET", (153391., 211648.)); ("GET", (155994., 218670.)); ("INCR", (152133., 219217.));
+    ("LPUSH", (149887., 211692.)); ("RPUSH", (150505., 214605.)); ("LPOP", (148348., 209365.));
+    ("RPOP", (150714., 210426.)); ("SADD", (156514., 217682.)); ("HSET", (152276., 209336.));
+    ("SPOP", (157351., 217016.)); ("ZADD", (149386., 206069.)); ("ZPOPMIN", (158361., 219784.));
+    ("LRANGE_100", (92696., 114472.)); ("LRANGE_300", (39268., 39732.));
+    ("LRANGE_500", (27430., 27843.)); ("LRANGE_600", (23876., 23649.));
+    ("MSET", (125747., 160041.));
   ]
 
 let sqlite_paper =
   [
-    (100, 0.27, 0.33, 0.32); (110, 0.43, 0.49, 0.49); (120, 0.88, 1.00, 1.00);
-    (130, 0.40, 0.45, 0.44); (140, 0.61, 0.71, 0.73); (142, 1.17, 1.35, 1.34);
-    (145, 0.49, 0.57, 0.56); (150, 0.95, 1.16, 1.13); (160, 1.74, 2.02, 2.03);
-    (161, 1.75, 2.02, 2.02); (170, 1.72, 2.06, 2.03); (180, 2.14, 2.41, 2.42);
-    (190, 2.09, 2.38, 2.38); (200, 1.59, 2.21, 2.07); (210, 0.04, 0.04, 0.04);
-    (230, 1.81, 2.11, 2.08); (240, 1.34, 1.58, 1.55); (250, 0.21, 0.26, 0.24);
-    (260, 0.02, 0.02, 0.02); (270, 2.26, 2.63, 2.58); (280, 2.19, 2.6, 2.58);
-    (290, 3.85, 4.31, 4.22); (300, 2.20, 2.51, 2.48); (310, 3.60, 4.27, 4.25);
-    (320, 7.14, 8.3, 8.35); (400, 1.44, 1.57, 1.58); (410, 2.25, 3.06, 3.05);
-    (500, 1.66, 1.82, 1.85); (510, 2.56, 3.4, 3.41); (520, 0.57, 0.62, 0.64);
-    (980, 3.33, 3.95, 3.97); (990, 0.20, 0.22, 0.22);
+    (100, (0.27, 0.33, 0.32)); (110, (0.43, 0.49, 0.49)); (120, (0.88, 1.00, 1.00));
+    (130, (0.40, 0.45, 0.44)); (140, (0.61, 0.71, 0.73)); (142, (1.17, 1.35, 1.34));
+    (145, (0.49, 0.57, 0.56)); (150, (0.95, 1.16, 1.13)); (160, (1.74, 2.02, 2.03));
+    (161, (1.75, 2.02, 2.02)); (170, (1.72, 2.06, 2.03)); (180, (2.14, 2.41, 2.42));
+    (190, (2.09, 2.38, 2.38)); (200, (1.59, 2.21, 2.07)); (210, (0.04, 0.04, 0.04));
+    (230, (1.81, 2.11, 2.08)); (240, (1.34, 1.58, 1.55)); (250, (0.21, 0.26, 0.24));
+    (260, (0.02, 0.02, 0.02)); (270, (2.26, 2.63, 2.58)); (280, (2.19, 2.6, 2.58));
+    (290, (3.85, 4.31, 4.22)); (300, (2.20, 2.51, 2.48)); (310, (3.60, 4.27, 4.25));
+    (320, (7.14, 8.3, 8.35)); (400, (1.44, 1.57, 1.58)); (410, (2.25, 3.06, 3.05));
+    (500, (1.66, 1.82, 1.85)); (510, (2.56, 3.4, 3.41)); (520, (0.57, 0.62, 0.64));
+    (980, (3.33, 3.95, 3.97)); (990, (0.20, 0.22, 0.22));
   ]
 
 (* --- Table 1 --- *)
@@ -246,30 +285,21 @@ let table3 () =
 (* --- Table 7 --- *)
 
 let table7 () =
-  section "Table 7: LMbench micro-benchmarks (measured | paper)";
-  Printf.printf "%-24s %10s %10s %6s | %9s %9s %6s\n" "benchmark" "linux" "aster" "norm"
-    "p-linux" "p-aster" "p-nrm";
-  let norms = ref [] in
-  List.iter
-    (fun (row : Apps.Lmbench.row) ->
-      let linux = row.Apps.Lmbench.run Sim.Profile.linux in
-      let aster = row.Apps.Lmbench.run Sim.Profile.asterinas in
-      let norm = if row.higher_better then aster /. linux else linux /. aster in
-      norms := norm :: !norms;
-      let p_lin, p_ast =
-        match List.find_opt (fun (n, _, _) -> n = row.name) table7_paper with
-        | Some (_, l, a) -> (l, a)
-        | None -> (nan, nan)
-      in
-      let p_norm = if row.higher_better then p_ast /. p_lin else p_lin /. p_ast in
-      add_result ~linux ~aster ~norm ~unit_:row.unit_ ("table7/" ^ row.name);
-      Printf.printf "%-24s %10.3f %10.3f %6.2f | %9.3f %9.3f %6.2f  [%s]\n%!" row.name linux
-        aster norm p_lin p_ast p_norm row.unit_)
-    Apps.Lmbench.rows;
-  let gm = Sim.Stats.geomean !norms in
-  add_result ~norm:gm ~unit_:"ratio" "table7/geomean";
-  Printf.printf "%-24s %21s %6.2f | %20s %6.2f\n" "geometric mean" "" gm "" 1.08
-
+  section "Table 7: LMbench micro-benchmarks (paper column: the paper's norm)";
+  let rows =
+    List.map
+      (fun (r : Apps.Lmbench.row) ->
+        let linux = r.run Sim.Profile.linux in
+        let aster = r.run Sim.Profile.asterinas in
+        let norm l a = if r.higher_better then a /. l else l /. a in
+        row ~linux ~aster ~norm:(norm linux aster)
+          ?paper:(Option.map (fun (l, a) -> norm l a) (List.assoc_opt r.name table7_paper))
+          ~better:(if r.higher_better then Higher else Lower)
+          ~unit_:r.unit_ ("table7/" ^ r.name))
+      Apps.Lmbench.rows
+  in
+  let gm = Sim.Stats.geomean (List.rev (List.filter_map (fun r -> r.norm) rows)) in
+  rows @ [ row ~norm:gm ~paper:1.08 ~better:Higher ~unit_:"ratio" "table7/geomean" ]
 (* --- Table 8 --- *)
 
 let table8 () =
@@ -386,79 +416,39 @@ let table10 () =
   print_row (Kernmiri.Runner.totals rows);
   print_endline "(paper: 134 tests, ~93% line coverage, 100% unsafe coverage, ~25x slowdown)"
 
-(* --- Fig. 5a: Nginx --- *)
+(* --- Fig. 5a/5b + Table 11: Nginx and Redis --- *)
 
-let nginx_rps profile file requests =
-  let k = Apps.Runner.boot ~profile in
-  let host = Aster.Kernel.attach_host k in
-  Apps.Mini_nginx.spawn ~requests ~sizes:[ ("f4k", 4096); ("f64k", 65536) ] ();
-  let out = ref nan in
-  Apps.Ab.run ~host ~path:("/" ^ file) ~concurrency:32 ~requests ~on_done:(fun r ->
-      out := r.Apps.Ab.rps);
-  Apps.Runner.run ();
-  !out
+(* One workload on linux, aster and aster-without-IOMMU. The row pairs
+   linux with aster and observes the aster run; the no-IOMMU result is
+   printed only. *)
+let app_row ?paper ~unit_ name run =
+  let lin = run Sim.Profile.linux in
+  let ast = run Sim.Profile.asterinas in
+  let obs = observe () in
+  let noi = run Sim.Profile.asterinas_no_iommu in
+  Printf.printf "%-24s aster without IOMMU %8.0f %s (%.3f of aster)\n%!" name noi unit_
+    (noi /. ast);
+  pair ?paper ~obs ~better:Higher ~unit_ name lin ast
 
 let fig5a () =
   section "Fig. 5a: Nginx throughput (ab -c 32), requests/s";
-  let n4 = if !quick then 1500 else 6000 in
-  let n64 = if !quick then 800 else 2500 in
-  Printf.printf "%-8s %10s %10s %12s\n" "file" "linux" "aster" "aster-noIOMMU";
-  List.iter
-    (fun (file, n, paper) ->
-      let lin = nginx_rps Sim.Profile.linux file n in
-      let ast = nginx_rps Sim.Profile.asterinas file n in
-      let percentiles = syscall_pctls () in
-      let cpu = prof_top3 () in
-      let spans = span_top3 () in
-      let noi = nginx_rps Sim.Profile.asterinas_no_iommu file n in
-      add_result ~linux:lin ~aster:ast ~norm:(ast /. lin) ?percentiles ?cpu ?spans
-        ~unit_:"req/s"
-        ("fig5a/nginx_" ^ file);
-      Printf.printf "%-8s %10.0f %10.0f %12.0f   norm=%.2f  %s\n%!" file lin ast noi (ast /. lin)
-        paper)
-    [
-      ("f4k", n4, "(paper: linux 19227, aster 22912, norm 1.19)");
-      ("f64k", n64, "(paper: linux ~9105, aster 9234, norm ~1.01)");
-    ]
-
-(* --- Fig. 5b + Table 11: Redis --- *)
-
-let redis_rps profile op requests =
-  let k = Apps.Runner.boot ~profile in
-  let host = Aster.Kernel.attach_host k in
-  Apps.Mini_redis.spawn ();
-  let out = ref nan in
-  (* Fill the shared list first, as redis-benchmark's earlier phases do. *)
-  Apps.Redis_bench.run_op ~host ~op:"RPUSH" ~clients:8 ~requests:700 ~on_done:(fun _ ->
-      Apps.Redis_bench.run_op ~host ~op ~clients:16 ~requests ~on_done:(fun r ->
-          out := r.Apps.Redis_bench.rps));
-  Apps.Runner.run ();
-  !out
+  List.map
+    (fun (file, requests, paper) ->
+      app_row ~paper ~unit_:"req/s" ("fig5a/nginx_" ^ file) (fun profile ->
+          Apps.Workload.nginx_rps ~profile ~file ~requests))
+    [ ("f4k", sized ~quick:1500 6000, 1.19); ("f64k", sized ~quick:800 2500, 1.01) ]
 
 let redis_table ops =
-  Printf.printf "%-12s %10s %10s %12s | paper: linux/aster/no-iommu\n" "op" "linux" "aster"
-    "no-iommu";
-  List.iter
+  List.map
     (fun op ->
-      let lrange = String.length op >= 6 && String.sub op 0 6 = "LRANGE" in
-      let n =
-        if lrange then if !quick then 400 else 1200 else if !quick then 1200 else 3500
+      let requests =
+        if String.starts_with ~prefix:"LRANGE" op then sized ~quick:400 1200
+        else sized ~quick:1200 3500
       in
-      let lin = redis_rps Sim.Profile.linux op n in
-      let ast = redis_rps Sim.Profile.asterinas op n in
-      let percentiles = syscall_pctls () in
-      let cpu = prof_top3 () in
-      let spans = span_top3 () in
-      let noi = redis_rps Sim.Profile.asterinas_no_iommu op n in
-      add_result ~linux:lin ~aster:ast ~norm:(ast /. lin) ?percentiles ?cpu ?spans
-        ~unit_:"req/s"
-        ("redis/" ^ op);
-      let p =
-        match List.find_opt (fun (o, _, _, _) -> o = op) redis_paper with
-        | Some (_, l, a, ni) -> Printf.sprintf "| %8.0f %8.0f %8.0f" l a ni
-        | None -> ""
-      in
-      Printf.printf "%-12s %10.0f %10.0f %12.0f %s\n%!" op lin ast noi p)
+      app_row
+        ?paper:(Option.map (fun (l, a) -> a /. l) (List.assoc_opt op redis_paper))
+        ~unit_:"req/s" ("redis/" ^ op)
+        (fun profile -> Apps.Workload.redis_rps ~profile ~op ~requests))
     ops
 
 let table11 () =
@@ -471,71 +461,41 @@ let fig5b () =
 
 (* --- Fig. 5c + Table 12: SQLite --- *)
 
-let sqlite_run profile =
-  ignore (Apps.Runner.boot ~profile);
-  let out = ref [] in
-  Apps.Runner.spawn ~name:"speedtest1" (fun c ->
-      out := Apps.Speedtest1.run ~size:(if !quick then 8 else 16) c;
-      0);
-  Apps.Runner.run ();
-  !out
-
 let table12 () =
   section "Table 12 / Fig. 5c: SQLite speedtest1 (virtual seconds; workload scaled down)";
-  let lin = sqlite_run Sim.Profile.linux in
+  let run profile = Apps.Workload.speedtest1 ~profile ~size:(sized ~quick:8 16) in
+  let lin = run Sim.Profile.linux in
   Aster.Strace.reset ();
-  let ast = sqlite_run Sim.Profile.asterinas in
+  let ast = run Sim.Profile.asterinas in
   let small = Aster.Strace.small_writes () in
-  let aster_pctls = syscall_pctls () in
-  let aster_cpu = prof_top3 () in
-  let aster_spans = span_top3 () in
-  let noi = sqlite_run Sim.Profile.asterinas_no_iommu in
+  let obs = observe () in
+  let noi = run Sim.Profile.asterinas_no_iommu in
+  let secs l = List.map (fun (r : Apps.Speedtest1.result) -> r.seconds) l in
   Printf.printf "%4s %-44s %8s %8s %8s %6s | paper (s, ratio)\n" "num" "test" "linux" "aster"
     "noIOMMU" "ratio";
-  let tot = ref (0., 0., 0.) in
-  List.iteri
-    (fun i (l : Apps.Speedtest1.result) ->
-      let a = List.nth ast i and n = List.nth noi i in
-      let la = l.Apps.Speedtest1.seconds
-      and aa = a.Apps.Speedtest1.seconds
-      and na = n.Apps.Speedtest1.seconds in
-      let x, y, z = !tot in
-      tot := (x +. la, y +. aa, z +. na);
-      let paper =
-        match
-          List.find_opt (fun (num, _, _, _) -> num = l.Apps.Speedtest1.num) sqlite_paper
-        with
-        | Some (_, pl, pa, _) -> Printf.sprintf "| %5.2f %5.2f (%.2f)" pl pa (pa /. pl)
-        | None -> ""
-      in
-      Printf.printf "%4d %-44s %8.4f %8.4f %8.4f %6.2f %s\n" l.Apps.Speedtest1.num
-        l.Apps.Speedtest1.name la aa na
-        (aa /. (la +. 1e-12))
-        paper)
-    lin;
-  let x, y, z = !tot in
-  add_result ~linux:x ~aster:y ~norm:(y /. x) ?percentiles:aster_pctls ?cpu:aster_cpu
-    ?spans:aster_spans ~unit_:"virtual s" "table12/speedtest1_total";
-  Printf.printf "%4s %-44s %8.3f %8.3f %8.3f %6.2f | 52.88 62.44 (1.18)\n" "" "TOTAL" x y z
-    (y /. x);
+  List.iter
+    (fun ((r : Apps.Speedtest1.result), (a, n)) ->
+      Printf.printf "%4d %-44s %8.4f %8.4f %8.4f %6.2f %s\n" r.num r.name r.seconds a n
+        (a /. (r.seconds +. 1e-12))
+        (match List.assoc_opt r.num sqlite_paper with
+        | Some (pl, pa, _) -> Printf.sprintf "| %5.2f %5.2f (%.2f)" pl pa (pa /. pl)
+        | None -> ""))
+    (List.combine lin (List.combine (secs ast) (secs noi)));
+  let total l = List.fold_left ( +. ) 0. (secs l) in
+  Printf.printf "aster without IOMMU: %.3f virtual s in total\n" (total noi);
   Printf.printf
     "strace diagnosis (aster run): %d small (<=8 byte) pwrite64/write calls; top syscalls:\n"
     small;
-  List.iter (fun (n, c) -> Printf.printf "  %-12s %d\n" n c) (Aster.Strace.top 6)
+  List.iter (fun (n, c) -> Printf.printf "  %-12s %d\n" n c) (Aster.Strace.top 6);
+  [
+    pair ~paper:(62.44 /. 52.88) ~obs ~better:Lower ~unit_:"virtual s"
+      "table12/speedtest1_total" (total lin) (total ast);
+  ]
 
 (* --- Fig. 6 --- *)
 
 let fig6 () =
   section "Fig. 6: IOMMU overhead, pooled vs dynamic DMA mappings";
-  let fio_run profile =
-    ignore (Apps.Runner.boot ~profile);
-    let out = ref { Apps.Fio.write_mb_s = nan; read_cold_mb_s = nan; read_mb_s = nan } in
-    Apps.Runner.spawn ~name:"fio" (fun c ->
-        out := Apps.Fio.run c ~file:"/ext2/fio.dat" ~mbytes:(if !quick then 4 else 8);
-        0);
-    Apps.Runner.run ();
-    !out
-  in
   let bw_row = Apps.Lmbench.find "bw_tcp 64k (virtio)" in
   let variants =
     [
@@ -550,7 +510,7 @@ let fig6 () =
     "fio warm MB/s" "bw_tcp64k MB/s";
   List.iter
     (fun (name, profile) ->
-      let f = fio_run profile in
+      let f = Apps.Workload.fio ~profile ~mbytes:(sized ~quick:4 8) () in
       let bw = bw_row.Apps.Lmbench.run profile in
       Printf.printf "%-18s %14.0f %14.0f %14.0f %14.0f\n%!" name f.Apps.Fio.write_mb_s
         f.Apps.Fio.read_cold_mb_s f.Apps.Fio.read_mb_s bw)
@@ -632,8 +592,8 @@ let ablations () =
   in
   let n_gso = if !quick then 800 else 2000 in
   Printf.printf "%-44s %8.0f vs %8.0f req/s\n" "GSO, Linux nginx 64k (on vs off)"
-    (nginx_rps Sim.Profile.linux "f64k" n_gso)
-    (nginx_rps lin_no_gso "f64k" n_gso);
+    (Apps.Workload.nginx_rps ~profile:Sim.Profile.linux ~file:"f64k" ~requests:n_gso)
+    (Apps.Workload.nginx_rps ~profile:lin_no_gso ~file:"f64k" ~requests:n_gso);
   let bw = Apps.Lmbench.find "bw_tcp 64k (virtio)" in
   (* 4. Congestion control added to Asterinas. *)
   let aster_cc =
@@ -659,8 +619,8 @@ let ablations () =
   let n = if !quick then 800 else 2000 in
   Printf.printf "%-44s %8.0f vs %8.0f req/s\n"
     "Asterinas nginx 64k: bounce vs zero-copy sendfile"
-    (nginx_rps aster_bounce "f64k" n)
-    (nginx_rps Sim.Profile.asterinas "f64k" n)
+    (Apps.Workload.nginx_rps ~profile:aster_bounce ~file:"f64k" ~requests:n)
+    (Apps.Workload.nginx_rps ~profile:Sim.Profile.asterinas ~file:"f64k" ~requests:n)
 
 (* --- Bechamel host-time measurement of the checked fast paths --- *)
 
@@ -699,217 +659,217 @@ let bechamel_table8 () =
 
 let chaos_bench () =
   section "Chaos: fio throughput, clean vs under the fault plane (seed 42)";
-  let fio_run ~faults =
-    ignore (Apps.Runner.boot ~profile:Sim.Profile.asterinas);
-    if faults then Sim.Fault.configure ~seed:42L Apps.Chaos.default_schedule;
-    let out = ref { Apps.Fio.write_mb_s = nan; read_cold_mb_s = nan; read_mb_s = nan } in
-    Apps.Runner.spawn ~name:"fio" (fun c ->
-        out := Apps.Fio.run c ~file:"/ext2/fio.dat" ~mbytes:(if !quick then 4 else 8);
-        0);
-    Apps.Runner.run ();
+  let run after_boot =
+    let mbytes = sized ~quick:4 8 in
+    let f = Apps.Workload.fio ~after_boot ~profile:Sim.Profile.asterinas ~mbytes () in
     Sim.Fault.disable ();
-    !out
+    f
   in
-  let clean = fio_run ~faults:false in
-  let faulty = fio_run ~faults:true in
-  add_result ~linux:clean.Apps.Fio.write_mb_s ~aster:faulty.Apps.Fio.write_mb_s
-    ~norm:(faulty.Apps.Fio.write_mb_s /. clean.Apps.Fio.write_mb_s)
-    ?percentiles:(syscall_pctls ()) ?cpu:(prof_top3 ()) ?spans:(span_top3 ())
-    ~unit_:"MB/s (clean vs faulted)" "chaos/fio_write";
-  let pct a b = if a > 0. then 100. *. b /. a else nan in
-  Printf.printf "%-22s %14s %14s\n" "variant" "fio write MB/s" "fio read MB/s";
-  Printf.printf "%-22s %14.0f %14.0f\n" "clean" clean.Apps.Fio.write_mb_s
-    clean.Apps.Fio.read_mb_s;
-  Printf.printf "%-22s %14.0f %14.0f   (%.0f%% / %.0f%% of clean)\n" "fault schedule"
-    faulty.Apps.Fio.write_mb_s faulty.Apps.Fio.read_mb_s
-    (pct clean.Apps.Fio.write_mb_s faulty.Apps.Fio.write_mb_s)
-    (pct clean.Apps.Fio.read_mb_s faulty.Apps.Fio.read_mb_s);
+  let clean = run ignore in
+  let faulty = run (fun () -> Sim.Fault.configure ~seed:42L Apps.Chaos.default_schedule) in
+  let obs = observe () in
+  Printf.printf "fio read MB/s: clean %.0f, fault schedule %.0f\n" clean.Apps.Fio.read_mb_s
+    faulty.Apps.Fio.read_mb_s;
   Printf.printf "fault plane: %s\n"
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) (Sim.Stats.fault_report ())));
   print_endline
-    "(retries and backoff trade throughput for liveness: no hangs, no corruption)"
+    "(retries and backoff trade throughput for liveness: no hangs, no corruption)";
+  [
+    pair ~obs ~better:Higher ~unit_:"MB/s (clean vs faulted)" "chaos/fio_write"
+      clean.Apps.Fio.write_mb_s faulty.Apps.Fio.write_mb_s;
+  ]
 
-(* --- fio sequential I/O: batching/readahead ablation --- *)
+(* --- Pipeline ablations: fio_seq, fio_fsync, bw_tcp_batch, offloads ---
 
-(* One fio run plus the blk.* counters that attribute the win: doorbells
-   and completion IRQs per MiB, merged bios, readahead hits. Stats reset
-   at boot, so the counters cover exactly this run. *)
-let fio_stats_run ~mbytes profile =
-  ignore (Apps.Runner.boot ~profile);
-  let out = ref { Apps.Fio.write_mb_s = nan; read_cold_mb_s = nan; read_mb_s = nan } in
-  Apps.Runner.spawn ~name:"fio" (fun c ->
-      out := Apps.Fio.run c ~file:"/ext2/fio.dat" ~mbytes;
-      0);
-  Apps.Runner.run ();
-  let per_mb n = float_of_int n /. float_of_int mbytes in
-  ( !out,
-    per_mb (Sim.Stats.get "blk.doorbell"),
-    per_mb (Sim.Stats.get "blk.irq"),
-    Sim.Stats.get "blk.merge",
-    Sim.Stats.get "blk.readahead.hit" )
+   Each stats run is one workload run plus the counters that attribute
+   its result. Stats reset at boot, so the counters cover exactly that
+   run. The recording rows are shared with the smoke gates. *)
+
+type fio_stats = {
+  fio : Apps.Fio.result;
+  blk_doorbells : float;  (* per MB *)
+  blk_irqs : float;  (* per MB *)
+  merged : int;
+  ra_hits : int;
+  fio_end : float;  (* virtual end cycle *)
+}
+
+let fio_stats_run ?after_boot ~mbytes profile =
+  let fio = Apps.Workload.fio ?after_boot ~profile ~mbytes () in
+  let per_mb n = float_of_int (Sim.Stats.get n) /. float_of_int mbytes in
+  {
+    fio;
+    blk_doorbells = per_mb "blk.doorbell";
+    blk_irqs = per_mb "blk.irq";
+    merged = Sim.Stats.get "blk.merge";
+    ra_hits = Sim.Stats.get "blk.readahead.hit";
+    fio_end = Int64.to_float (Sim.Clock.now ());
+  }
+
+let blk_neither p = Sim.Profile.with_blk_readahead false (Sim.Profile.with_blk_batching false p)
+
+let fio_seq_rows prefix ~full ~none =
+  let n = Printf.sprintf "%s/%s" prefix in
+  [
+    pair ~better:Higher ~unit_:"MB/s" (n "fio_seq_read_cold") none.fio.read_cold_mb_s
+      full.fio.read_cold_mb_s;
+    pair ~better:Higher ~unit_:"MB/s" (n "fio_seq_write") none.fio.write_mb_s
+      full.fio.write_mb_s;
+    pair ~better:Lower ~unit_:"per MB" (n "fio_doorbells_per_mb") none.blk_doorbells
+      full.blk_doorbells;
+    pair ~better:Lower ~unit_:"per MB" (n "fio_irqs_per_mb") none.blk_irqs full.blk_irqs;
+  ]
 
 let fio_seq () =
   section "fio sequential I/O: batching + readahead ablation (ext2, cold cache)";
-  let mbytes = if !quick then 4 else 8 in
+  let mbytes = sized ~quick:4 8 in
   let base = Sim.Profile.asterinas in
-  let variants =
-    [
-      ("batching+readahead", base);
-      ("batching only", Sim.Profile.with_blk_readahead false base);
-      ( "neither",
-        Sim.Profile.with_blk_readahead false (Sim.Profile.with_blk_batching false base) );
-    ]
-  in
-  let tbl = List.map (fun (name, p) -> (name, fio_stats_run ~mbytes p)) variants in
+  let full = fio_stats_run ~mbytes base in
+  let only = fio_stats_run ~mbytes (Sim.Profile.with_blk_readahead false base) in
+  let none = fio_stats_run ~mbytes (blk_neither base) in
   Printf.printf "%-20s %11s %11s %11s %10s %8s %7s %7s\n" "variant" "write MB/s" "cold MB/s"
     "warm MB/s" "doorbl/MB" "irq/MB" "merged" "ra hit";
   List.iter
-    (fun (name, (f, db, irq, merged, hit)) ->
-      Printf.printf "%-20s %11.0f %11.0f %11.0f %10.1f %8.1f %7d %7d\n%!" name
-        f.Apps.Fio.write_mb_s f.Apps.Fio.read_cold_mb_s f.Apps.Fio.read_mb_s db irq merged hit)
-    tbl;
-  let full, fdb, firq, _, _ = List.assoc "batching+readahead" tbl in
-  let none, ndb, nirq, _, _ = List.assoc "neither" tbl in
-  (* The "linux" column holds the ablated (off) variant, "aster" the full
-     pipeline, so norm > 1 is the batching+readahead speedup. *)
-  add_result ~linux:none.Apps.Fio.read_cold_mb_s ~aster:full.Apps.Fio.read_cold_mb_s
-    ~norm:(full.Apps.Fio.read_cold_mb_s /. none.Apps.Fio.read_cold_mb_s)
-    ~unit_:"MB/s" "table12/fio_seq_read_cold";
-  add_result ~linux:none.Apps.Fio.write_mb_s ~aster:full.Apps.Fio.write_mb_s
-    ~norm:(full.Apps.Fio.write_mb_s /. none.Apps.Fio.write_mb_s)
-    ~unit_:"MB/s" "table12/fio_seq_write";
-  add_result ~linux:ndb ~aster:fdb ~norm:(fdb /. ndb) ~unit_:"per MB"
-    "table12/fio_doorbells_per_mb";
-  add_result ~linux:nirq ~aster:firq ~norm:(firq /. nirq) ~unit_:"per MB"
-    "table12/fio_irqs_per_mb";
-  Printf.printf
-    "batching+readahead vs neither: cold read %.2fx, write %.2fx; doorbells/MB %.0f -> %.0f, irqs/MB %.0f -> %.0f\n"
-    (full.Apps.Fio.read_cold_mb_s /. none.Apps.Fio.read_cold_mb_s)
-    (full.Apps.Fio.write_mb_s /. none.Apps.Fio.write_mb_s)
-    ndb fdb nirq firq
-
-(* --- fio fsync-per-write: what a journal commit costs --- *)
+    (fun (name, s) ->
+      Printf.printf "%-20s %11.0f %11.0f %11.0f %10.1f %8.1f %7d %7d\n" name
+        s.fio.write_mb_s s.fio.read_cold_mb_s s.fio.read_mb_s s.blk_doorbells s.blk_irqs
+        s.merged s.ra_hits)
+    [ ("batching+readahead", full); ("batching only", only); ("neither", none) ];
+  (* The "linux" column holds the ablated (off) variant. *)
+  fio_seq_rows "table12" ~full ~none
 
 (* The fsync-heavy variant prices the crash-consistency plane: every
    4 KiB write is followed by fsync, so with the journal on each one is
    a full transaction commit (data sync + descriptor/content barrier +
-   FUA commit record). Stats reset at boot; the counters cover exactly
-   this run. *)
+   FUA commit record). *)
+type fsync_stats = { fsync_mb_s : float; fsyncs : int; commits : int; flushes : int; fua : int }
+
 let fio_fsync_run ~mbytes profile =
-  ignore (Apps.Runner.boot ~profile);
-  let out = ref (nan, 0) in
-  Apps.Runner.spawn ~name:"fio-fsync" (fun c ->
-      out := Apps.Fio.run_fsync c ~file:"/ext2/fiof.dat" ~mbytes;
-      0);
-  Apps.Runner.run ();
-  let mb_s, fsyncs = !out in
-  ( mb_s,
-    fsyncs,
-    Sim.Stats.get "jbd.commit",
-    Sim.Stats.get "blk.flush",
-    Sim.Stats.get "blk.fua" )
+  let fsync_mb_s, fsyncs = Apps.Workload.fio_fsync ~profile ~mbytes in
+  {
+    fsync_mb_s;
+    fsyncs;
+    commits = Sim.Stats.get "jbd.commit";
+    flushes = Sim.Stats.get "blk.flush";
+    fua = Sim.Stats.get "blk.fua";
+  }
 
 let fio_fsync () =
   section "fio fsync-per-write: ext2 journal commit cost";
-  let mbytes = if !quick then 1 else 2 in
-  let mb_on, fs_on, commits, flush_on, fua_on = fio_fsync_run ~mbytes Sim.Profile.asterinas in
-  let mb_off, fs_off, _, flush_off, _ =
-    fio_fsync_run ~mbytes (Sim.Profile.with_ext2_journal false Sim.Profile.asterinas)
-  in
+  let mbytes = sized ~quick:1 2 in
+  let on = fio_fsync_run ~mbytes Sim.Profile.asterinas in
+  let off = fio_fsync_run ~mbytes (Sim.Profile.with_ext2_journal false Sim.Profile.asterinas) in
   Printf.printf "%-12s %9s %8s %9s %9s %6s\n" "journal" "MB/s" "fsyncs" "commits" "flushes" "FUA";
-  Printf.printf "%-12s %9.1f %8d %9d %9d %6d\n" "on" mb_on fs_on commits flush_on fua_on;
-  Printf.printf "%-12s %9.1f %8d %9d %9d %6d\n%!" "off" mb_off fs_off 0 flush_off 0;
-  add_result ~linux:mb_off ~aster:mb_on ~norm:(mb_on /. mb_off) ~unit_:"MB/s"
-    "crash/fio_fsync_write";
-  Printf.printf
-    "journaling costs %.0f%% on the fsync-per-write path (%d commits, %d FUA records)\n"
-    (100. *. (1. -. (mb_on /. mb_off)))
-    commits fua_on
+  List.iter
+    (fun (name, s) ->
+      Printf.printf "%-12s %9.1f %8d %9d %9d %6d\n" name s.fsync_mb_s s.fsyncs s.commits
+        s.flushes s.fua)
+    [ ("on", on); ("off", off) ];
+  [ pair ~better:Higher ~unit_:"MB/s" "crash/fio_fsync_write" off.fsync_mb_s on.fsync_mb_s ]
 
-(* --- bw_tcp: TX batching / IRQ coalescing ablation --- *)
+(* One bw_tcp run (4 MiB guest -> host) plus the net.* counters that
+   attribute the batching win. *)
+type net_stats = {
+  bw : float;
+  net_doorbells : float;  (* per MB *)
+  net_irqs : float;  (* per MB *)
+  bursts : int;
+  coalesced : int;
+  bw_end : float;  (* virtual end cycle *)
+}
 
-(* One bw_tcp run plus the net.* counters that attribute the win:
-   doorbells and IRQs per MiB, bursts submitted, RX arrivals coalesced.
-   The row boots its own kernel, which resets Stats, so the counters
-   cover exactly this run (4 MiB guest -> host). *)
 let bw_tcp_stats_run profile =
-  let row = Apps.Lmbench.find "bw_tcp 64k (virtio)" in
-  let mb_s = row.Apps.Lmbench.run profile in
-  let per_mb n = float_of_int n /. 4.0 in
-  ( mb_s,
-    per_mb (Sim.Stats.get "net.doorbell"),
-    per_mb (Sim.Stats.get "net.irq"),
-    Sim.Stats.get "net.burst",
-    Sim.Stats.get "net.coalesced_rx" )
+  let bw = (Apps.Lmbench.find "bw_tcp 64k (virtio)").run profile in
+  let per_mb n = float_of_int (Sim.Stats.get n) /. 4.0 in
+  {
+    bw;
+    net_doorbells = per_mb "net.doorbell";
+    net_irqs = per_mb "net.irq";
+    bursts = Sim.Stats.get "net.burst";
+    coalesced = Sim.Stats.get "net.coalesced_rx";
+    bw_end = Int64.to_float (Sim.Clock.now ());
+  }
+
+(* Offload-free on purpose: the batching ablation isolates the TX
+   batching and IRQ coalescing mechanics against the
+   software-segmentation baseline (descriptor == wire frame), keeping
+   the committed table12 rows comparable across the offload work. The
+   offload wins have their own matrix (the [offloads] target). *)
+let swseg = Sim.Profile.with_all_offloads false Sim.Profile.asterinas
+
+let net_neither p =
+  Sim.Profile.with_net_irq_coalesce false (Sim.Profile.with_net_tx_batching false p)
+
+let bw_tcp_batch_rows ~full ~none =
+  [
+    pair ~better:Higher ~unit_:"MB/s" "table12/bw_tcp_batch" none.bw full.bw;
+    pair ~better:Lower ~unit_:"per MB" "table12/net_doorbells_per_mb" none.net_doorbells
+      full.net_doorbells;
+    pair ~better:Lower ~unit_:"per MB" "table12/net_irqs_per_mb" none.net_irqs full.net_irqs;
+  ]
+
+(* Batching must not tax the single-segment path: a ping-pong burst is
+   one segment, so plug/flush adds no doorbells and no latency. IRQ
+   coalescing stays on in both runs (the deployed config), isolating
+   the plug/flush cost alone. *)
+let lat_tcp_batch_row base =
+  let lat = Apps.Lmbench.find "lat_tcp (virtio)" in
+  let on = lat.run base in
+  let off = lat.run (Sim.Profile.with_net_tx_batching false base) in
+  pair ~better:Lower ~unit_:"us" "table12/lat_tcp_batch" off on
 
 let bw_tcp_batch () =
   section "bw_tcp: TX batching + IRQ coalescing ablation (virtio, 64k writes)";
-  (* Offload-free on purpose: this ablation isolates the PR-5 batching
-     and coalescing mechanics against the software-segmentation
-     baseline (descriptor == wire frame), keeping the committed
-     table12 rows comparable across the offload work. The offload wins
-     have their own matrix (the [offloads] target). *)
-  let base = Sim.Profile.with_all_offloads false Sim.Profile.asterinas in
-  let variants =
-    [
-      ("batching+coalesce", base);
-      ("batching only", Sim.Profile.with_net_irq_coalesce false base);
-      ( "neither",
-        Sim.Profile.with_net_irq_coalesce false (Sim.Profile.with_net_tx_batching false base) );
-    ]
-  in
-  let tbl = List.map (fun (name, p) -> (name, bw_tcp_stats_run p)) variants in
+  let full = bw_tcp_stats_run swseg in
+  let only = bw_tcp_stats_run (Sim.Profile.with_net_irq_coalesce false swseg) in
+  let none = bw_tcp_stats_run (net_neither swseg) in
   Printf.printf "%-20s %11s %10s %8s %8s %8s\n" "variant" "bw MB/s" "doorbl/MB" "irq/MB"
     "bursts" "coal rx";
   List.iter
-    (fun (name, (mb, db, irq, bursts, coal)) ->
-      Printf.printf "%-20s %11.0f %10.1f %8.1f %8d %8d\n%!" name mb db irq bursts coal)
-    tbl;
-  let full, fdb, firq, _, _ = List.assoc "batching+coalesce" tbl in
-  let none, ndb, nirq, _, _ = List.assoc "neither" tbl in
-  (* The "linux" column holds the ablated (off) variant, "aster" the full
-     pipeline, so norm > 1 is the batching+coalescing speedup. *)
-  add_result ~linux:none ~aster:full ~norm:(full /. none) ~unit_:"MB/s" "table12/bw_tcp_batch";
-  add_result ~linux:ndb ~aster:fdb ~norm:(fdb /. ndb) ~unit_:"per MB"
-    "table12/net_doorbells_per_mb";
-  add_result ~linux:nirq ~aster:firq ~norm:(firq /. nirq) ~unit_:"per MB"
-    "table12/net_irqs_per_mb";
-  (* Batching must not tax the single-segment path: a ping-pong burst is
-     one segment, so plug/flush adds no doorbells and no latency. The
-     comparison holds IRQ coalescing constant (the deployed config) so
-     it isolates the plug/flush cost alone. The "neither" latency is
-     reported too: without coalescing, per-completion interrupts trip
-     the kernel's IRQ-storm throttle (mask + 300 us recovery polls),
-     which dominates the uncoalesced ping-pong.  *)
-  let lat = Apps.Lmbench.find "lat_tcp (virtio)" in
-  let lat_on = lat.Apps.Lmbench.run base in
-  let lat_off = lat.Apps.Lmbench.run (Sim.Profile.with_net_tx_batching false base) in
-  let lat_none =
-    lat.Apps.Lmbench.run
-      (Sim.Profile.with_net_irq_coalesce false (Sim.Profile.with_net_tx_batching false base))
-  in
-  add_result ~linux:lat_off ~aster:lat_on ~norm:(lat_on /. lat_off) ~unit_:"us"
-    "table12/lat_tcp_batch";
-  Printf.printf
-    "batching+coalesce vs neither: bw_tcp %.2fx; doorbells/MB %.0f -> %.0f, irqs/MB %.0f -> %.0f\n"
-    (full /. none) ndb fdb nirq firq;
-  Printf.printf
-    "lat_tcp: batching on %.2f us vs off %.2f us (%+.1f%%, coalescing fixed on); uncoalesced %.2f us (IRQ-storm throttled)\n"
-    lat_on lat_off
-    (100. *. ((lat_on /. lat_off) -. 1.))
-    lat_none
+    (fun (name, s) ->
+      Printf.printf "%-20s %11.0f %10.1f %8.1f %8d %8d\n" name s.bw s.net_doorbells s.net_irqs
+        s.bursts s.coalesced)
+    [ ("batching+coalesce", full); ("batching only", only); ("neither", none) ];
+  let lat = lat_tcp_batch_row swseg in
+  (* Without coalescing, per-completion interrupts trip the kernel's
+     IRQ-storm throttle (mask + 300 us recovery polls), which dominates
+     the uncoalesced ping-pong. *)
+  Printf.printf "lat_tcp uncoalesced: %.2f us (IRQ-storm throttled)\n"
+    ((Apps.Lmbench.find "lat_tcp (virtio)").run (net_neither swseg));
+  bw_tcp_batch_rows ~full ~none @ [ lat ]
 
-(* --- Offload matrix: gso / gro / csum / zero-copy on-off ablation --- *)
+(* Host -> guest bw_tcp_rx: MB/s, stack charge_rx invocations per MB,
+   and RX segments GRO merged. *)
+let rx_stats_run profile =
+  let mb_s = Apps.Lmbench.bw_tcp_rx_virtio ~msg:65536 profile in
+  (mb_s, float_of_int (Sim.Stats.get "tcp.rx_calls") /. 4.0, Sim.Stats.get "net.gro_merged")
 
-(* One row per knob, each measured three ways: guest-TX bw_tcp (TSO +
-   csum-tx + the copy ledger), host->guest bw_tcp_rx (GRO + csum-rx),
-   and nginx f64k (zero-copy sendfile end to end). Recipe documented in
-   EXPERIMENTS.md. *)
+(* One row group per knob, each measured three ways: guest-TX bw_tcp
+   (TSO + csum-tx + the copy ledger), host->guest bw_tcp_rx (GRO +
+   csum-rx), and nginx f64k (zero-copy sendfile end to end). Recipe
+   documented in EXPERIMENTS.md. *)
 let offload_matrix () =
   section "Offload ablation: GSO/GRO/checksum/zero-copy matrix";
   let base = Sim.Profile.asterinas in
-  let variants =
+  let bw_tx_row = Apps.Lmbench.find "bw_tcp 64k (virtio)" in
+  List.concat_map
+    (fun (name, p) ->
+      let tx = bw_tx_row.Apps.Lmbench.run p in
+      let copied = float_of_int (Sim.Stats.get "net.bytes_copied") /. 4.0 in
+      let rx, rx_calls, merged = rx_stats_run p in
+      let rps =
+        Apps.Workload.nginx_rps ~profile:p ~file:"f64k" ~requests:(sized ~quick:300 1000)
+      in
+      Printf.printf "%-12s gro_merged %d\n" name merged;
+      let n = Printf.sprintf "offloads/%s/%s" name in
+      [
+        row ~aster:tx ~better:Higher ~unit_:"MB/s" (n "bw_tcp_tx");
+        row ~aster:copied ~better:Lower ~unit_:"bytes per MB" (n "tx_bytes_copied_per_mb");
+        row ~aster:rx ~better:Higher ~unit_:"MB/s" (n "bw_tcp_rx");
+        row ~aster:rx_calls ~better:Lower ~unit_:"per MB" (n "rx_charges_per_mb");
+        row ~aster:rps ~better:Higher ~unit_:"req/s" (n "nginx_f64k");
+      ])
     [
       ("all-on", base);
       ("no-gso", Sim.Profile.with_tcp_gso false base);
@@ -918,40 +878,18 @@ let offload_matrix () =
       ("no-zerocopy", Sim.Profile.with_sendfile_zero_copy false base);
       ("all-off", Sim.Profile.with_all_offloads false base);
     ]
-  in
-  let n_http = if !quick then 300 else 1000 in
-  let bw_tx_row = Apps.Lmbench.find "bw_tcp 64k (virtio)" in
-  Printf.printf "%-12s %10s %12s %12s %10s %12s %10s\n" "variant" "tx MB/s" "copied B/MB"
-    "rx MB/s" "rx_call/MB" "gro_merged" "nginx r/s";
-  List.iter
-    (fun (name, p) ->
-      let tx = bw_tx_row.Apps.Lmbench.run p in
-      let copied = float_of_int (Sim.Stats.get "net.bytes_copied") /. 4.0 in
-      let rx = Apps.Lmbench.bw_tcp_rx_virtio ~msg:65536 p in
-      let rx_calls = float_of_int (Sim.Stats.get "tcp.rx_calls") /. 4.0 in
-      let merged = Sim.Stats.get "net.gro_merged" in
-      let rps = nginx_rps p "f64k" n_http in
-      Printf.printf "%-12s %10.0f %12.0f %12.0f %10.0f %12d %10.0f\n%!" name tx copied rx
-        rx_calls merged rps;
-      add_result ~aster:tx ~unit_:"MB/s" (Printf.sprintf "offloads/%s/bw_tcp_tx" name);
-      add_result ~aster:copied ~unit_:"bytes per MB"
-        (Printf.sprintf "offloads/%s/tx_bytes_copied_per_mb" name);
-      add_result ~aster:rx ~unit_:"MB/s" (Printf.sprintf "offloads/%s/bw_tcp_rx" name);
-      add_result ~aster:rx_calls ~unit_:"per MB"
-        (Printf.sprintf "offloads/%s/rx_charges_per_mb" name);
-      add_result ~aster:rps ~unit_:"req/s" (Printf.sprintf "offloads/%s/nginx_f64k" name))
-    variants
 
 (* --- c10k: epoll readiness at connection scale --- *)
 
-let c10k_row ~conns ~rounds ~batch ~churn =
-  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
-  let host = Aster.Kernel.attach_host k in
-  Apps.C10k.spawn_server ();
-  let out = ref None in
-  Apps.C10k.run ~host ~conns ~rounds ~batch ~churn ~on_done:(fun r -> out := Some r);
-  Apps.Runner.run ();
-  match !out with None -> failwith "c10k: driver did not finish" | Some r -> r
+let c10k_rows conns =
+  let r = Apps.Workload.c10k ~conns ~rounds:20 ~batch:32 ~churn:10 in
+  let n = Printf.sprintf "c10k/%d/%s" conns in
+  ( r,
+    [
+      row ~aster:r.Apps.C10k.p99_us ~better:Lower ~unit_:"us" (n "p99_wakeup");
+      row ~aster:r.Apps.C10k.scan_per_wait ~better:Lower ~unit_:"entries/wait"
+        (n "scan_per_wait");
+    ] )
 
 (* Mostly-idle pool with churn: the echo tail and the per-wait sweep
    must not grow with the idle crowd (epoll is O(ready)). The churn
@@ -959,340 +897,300 @@ let c10k_row ~conns ~rounds ~batch ~churn =
    EXPERIMENTS.md. *)
 let c10k () =
   section "c10k: epoll echo under mostly-idle connections + churn";
-  let rows = if !quick then [ 500; 2000 ] else [ 2500; 10000; 25000 ] in
-  Printf.printf "%-8s %8s %8s %10s %10s %10s %12s %10s\n" "conns" "pings" "churned" "p50 us"
-    "p99 us" "max us" "scan/wait" "waits";
-  List.iter
+  List.concat_map
     (fun conns ->
-      let r = c10k_row ~conns ~rounds:20 ~batch:32 ~churn:10 in
-      add_result ~aster:r.Apps.C10k.p99_us ~unit_:"us"
-        (Printf.sprintf "c10k/%d/p99_wakeup" conns);
-      add_result ~aster:r.Apps.C10k.scan_per_wait ~unit_:"entries/wait"
-        (Printf.sprintf "c10k/%d/scan_per_wait" conns);
-      Printf.printf "%-8d %8d %8d %10.1f %10.1f %10.1f %12.2f %10d\n%!" r.Apps.C10k.conns
-        r.Apps.C10k.pings r.Apps.C10k.churned r.Apps.C10k.p50_us r.Apps.C10k.p99_us
-        r.Apps.C10k.max_us r.Apps.C10k.scan_per_wait r.Apps.C10k.wait_calls)
-    rows
+      let r, rows = c10k_rows conns in
+      Printf.printf "%6d conns: %d pings, %d churned, p50 %.1f us, max %.1f us, %d waits\n%!"
+        conns r.Apps.C10k.pings r.Apps.C10k.churned r.Apps.C10k.p50_us r.Apps.C10k.max_us
+        r.Apps.C10k.wait_calls;
+      rows)
+    (sized ~quick:[ 500; 2000 ] [ 2500; 10000; 25000 ])
 
-(* --- Smoke: fast CI gate over the batched pipelines (@bench-smoke) --- *)
+(* --- Smoke: fast CI gate over the pipelines and zero-cost planes ---
+
+   Every gate is a predicate over the rows below. @bench-smoke also
+   diffs the written rows against bench/smoke_expected.json, so a moved
+   number fails @check even where no gate trips. Zero-cost rows put the
+   reference run in the linux column and the variant in aster. *)
 
 let smoke () =
-  section "bench smoke: batched block pipeline sanity";
-  let mbytes = 2 in
+  section "bench smoke: pipeline and zero-cost gates";
   let base = Sim.Profile.asterinas in
-  let full, fdb, firq, merged, hit = fio_stats_run ~mbytes base in
-  let none, ndb, nirq, _, _ =
-    fio_stats_run ~mbytes
-      (Sim.Profile.with_blk_readahead false (Sim.Profile.with_blk_batching false base))
+  let count ?(unit_ = "count") name v =
+    row ~aster:(float_of_int v) ~better:Higher ~unit_ ("smoke/" ^ name)
   in
-  let speedup = full.Apps.Fio.read_cold_mb_s /. none.Apps.Fio.read_cold_mb_s in
-  Printf.printf
-    "cold read %.0f -> %.0f MB/s (%.2fx); doorbells/MB %.0f -> %.0f; irqs/MB %.0f -> %.0f; merged %d; ra hits %d\n"
-    none.Apps.Fio.read_cold_mb_s full.Apps.Fio.read_cold_mb_s speedup ndb fdb nirq firq merged
-    hit;
-  let fail = ref false in
-  let expect name ok = if not ok then begin fail := true; Printf.printf "FAIL: %s\n" name end in
-  expect "batching+readahead speeds cold sequential read by >=1.2x" (speedup >= 1.2);
-  expect "batching merges bios" (merged > 0);
-  expect "readahead window produces demand hits" (hit > 0);
-  expect "batching cuts doorbells per MB" (fdb < ndb);
-  expect "batching cuts completion IRQs per MB" (firq < nirq);
-  print_endline "bench smoke: batched network pipeline sanity";
-  (* Offload-free, like the bw_tcp_batch ablation: these gates pin the
-     PR-5 batching mechanics under software segmentation, where one
-     descriptor is one wire frame. *)
-  let swseg = Sim.Profile.with_all_offloads false Sim.Profile.asterinas in
-  let nfull, nfdb, nfirq, bursts, _ = bw_tcp_stats_run swseg in
-  let nnone, nndb, nnirq, _, _ =
-    bw_tcp_stats_run
-      (Sim.Profile.with_net_irq_coalesce false (Sim.Profile.with_net_tx_batching false swseg))
+  (* One fio run, reference vs variant: MB/s and virtual end cycle. *)
+  let fio_vs name r v =
+    let mb = pair ~better:Higher ~unit_:"MB/s" in
+    [
+      mb (name ^ "/fio_write") r.fio.write_mb_s v.fio.write_mb_s;
+      mb (name ^ "/fio_read_cold") r.fio.read_cold_mb_s v.fio.read_cold_mb_s;
+      mb (name ^ "/fio_read_warm") r.fio.read_mb_s v.fio.read_mb_s;
+      pair ~better:Lower ~unit_:"cycles" (name ^ "/end_cycle") r.fio_end v.fio_end;
+    ]
   in
-  Printf.printf
-    "bw_tcp %.0f -> %.0f MB/s (%.2fx); doorbells/MB %.0f -> %.0f; irqs/MB %.0f -> %.0f; bursts %d\n"
-    nnone nfull (nfull /. nnone) nndb nfdb nnirq nfirq bursts;
-  expect "TX batching speeds bw_tcp by >=1.2x" (nfull >= 1.2 *. nnone);
-  expect "TX bursts were submitted" (bursts > 0);
-  expect "batching+coalescing cuts net doorbells+IRQs per MB >=5x"
-    (5. *. (nfdb +. nfirq) <= nndb +. nnirq);
-  let lat = Apps.Lmbench.find "lat_tcp (virtio)" in
-  let lat_on = lat.Apps.Lmbench.run swseg in
-  let lat_off = lat.Apps.Lmbench.run (Sim.Profile.with_net_tx_batching false swseg) in
-  Printf.printf "lat_tcp batching on %.2f us vs off %.2f us\n" lat_on lat_off;
-  expect "TX batching does not tax single-segment latency (>5%)" (lat_on <= lat_off *. 1.05);
-  print_endline "bench smoke: segmentation offload + zero-copy pipeline sanity";
-  (* Tentpole gates: GSO+GRO+csum+zero-copy are on by default; each
-     gate compares the default pipeline against the software baseline
-     and checks the committed pre-offload numbers still reproduce. *)
-  let rx_stats p =
-    let mb_s = Apps.Lmbench.bw_tcp_rx_virtio ~msg:65536 p in
-    ( mb_s,
-      float_of_int (Sim.Stats.get "tcp.rx_calls") /. 4.0,
-      Sim.Stats.get "net.gro_merged" )
-  in
-  let rx_on, calls_on, merged_on = rx_stats base in
-  let rx_off, calls_off, _ = rx_stats swseg in
-  Printf.printf
-    "bw_tcp_rx (host->guest): %.0f MB/s, charge_rx %.0f/MB, gro_merged %d (GRO on) | %.0f MB/s, %.0f/MB (off)\n"
-    rx_on calls_on merged_on rx_off calls_off;
-  expect "GRO merges RX segments" (merged_on > 0);
-  expect "GRO cuts stack charge_rx invocations per MB >=5x" (5. *. calls_on <= calls_off);
-  expect "GRO does not slow the RX stream" (rx_on >= rx_off *. 0.95);
-  let nginx_copied p n =
-    let rps = nginx_rps p "f64k" n in
-    let mb = float_of_int (n * 65536) /. 1048576. in
+  (* Batched block pipeline. *)
+  let mbytes = 2 in
+  let full = fio_stats_run ~mbytes base in
+  let none = fio_stats_run ~mbytes (blk_neither base) in
+  (* Batched network pipeline, offload-free like bw_tcp_batch. *)
+  let nfull = bw_tcp_stats_run swseg in
+  let nnone = bw_tcp_stats_run (net_neither swseg) in
+  let lat = lat_tcp_batch_row swseg in
+  (* Segmentation offload + zero-copy: default pipeline vs software
+     baseline. *)
+  let rx_on, calls_on, merged_on = rx_stats_run base in
+  let rx_off, calls_off, _ = rx_stats_run swseg in
+  let nginx_copied profile =
+    let requests = 400 in
+    let rps = Apps.Workload.nginx_rps ~profile ~file:"f64k" ~requests in
+    let mb = float_of_int (requests * 65536) /. 1048576. in
     (rps, float_of_int (Sim.Stats.get "net.bytes_copied") /. mb)
   in
-  let n_http = 400 in
-  let ast_rps, zc_copied = nginx_copied base n_http in
-  let _, bounce_copied = nginx_copied (Sim.Profile.with_sendfile_zero_copy false base) n_http in
-  let lin_rps, _ = nginx_copied Sim.Profile.linux n_http in
-  Printf.printf
-    "nginx f64k: aster %.0f vs linux %.0f req/s (norm %.3f); sendfile copies %.0f -> %.0f bytes/MB\n"
-    ast_rps lin_rps (ast_rps /. lin_rps) bounce_copied zc_copied;
-  expect "zero-copy+GSO lift nginx_f64k to parity (norm >= 1.0)" (ast_rps >= lin_rps);
-  expect "zero-copy sendfile cuts bytes-copied/MB >=2x" (2. *. zc_copied <= bounce_copied);
-  (* The knobs-off path must still BE the pre-offload pipeline: the
-     same-seed run reproduces the committed bw_tcp_batch row exactly
-     (tolerance covers float printing only, not behaviour). *)
-  let frozen_bw = 1140.24 and frozen_db = 175.0 and frozen_irq = 3.0 in
-  Printf.printf "all-offloads-off bw_tcp: %.2f MB/s, %.1f doorbells/MB, %.1f irqs/MB (committed %.2f / %.0f / %.0f)\n"
-    nfull nfdb nfirq frozen_bw frozen_db frozen_irq;
-  expect "all-offloads-off reproduces the committed bw_tcp pipeline byte-for-byte"
-    (Float.abs (nfull -. frozen_bw) /. frozen_bw < 0.001
-    && Float.abs (nfdb -. frozen_db) < 0.5
-    && Float.abs (nfirq -. frozen_irq) < 0.5);
-  print_endline "bench smoke: crash-consistency plane cost";
-  (* [full] above already runs with the journal on (the default
-     profile); only the cold-read path is gated — journaling is a
-     write-side mechanism and must stay off the read path. *)
-  let nojournal, _, _, _, _ =
-    fio_stats_run ~mbytes (Sim.Profile.with_ext2_journal false base)
-  in
-  Printf.printf "fio_seq cold read: journal on %.0f MB/s vs off %.0f MB/s (%.2fx)\n"
-    full.Apps.Fio.read_cold_mb_s nojournal.Apps.Fio.read_cold_mb_s
-    (full.Apps.Fio.read_cold_mb_s /. nojournal.Apps.Fio.read_cold_mb_s);
-  expect "journaling costs <=15% on the fio_seq cold-read path"
-    (full.Apps.Fio.read_cold_mb_s >= 0.85 *. nojournal.Apps.Fio.read_cold_mb_s);
-  let fmb, ffs, fcommits, _, ffua = fio_fsync_run ~mbytes:1 base in
-  Printf.printf "fio fsync-per-write: %.1f MB/s, %d fsyncs -> %d commits, %d FUA records\n"
-    fmb ffs fcommits ffua;
-  expect "fsync-heavy run commits once per fsync" (ffs > 0 && fcommits >= ffs);
-  expect "commit records are written FUA" (ffua > 0);
-  print_endline "bench smoke: probe plane cost (must be exactly zero)";
-  (* The probe VM charges no virtual cycles, so a run with the always-on
-     watchdogs (the default boot), a run with every probe detached, and
-     a run with extra programs attached must all be byte-identical: same
-     virtual end time, same MB/s, same-seed same-everything. Any drift
-     means a probe consumer leaked cost or state into the kernel. *)
-  let probe_fio_run ~detach ~extra () =
+  let ast_rps, zc_copied = nginx_copied base in
+  let _, bounce_copied = nginx_copied (Sim.Profile.with_sendfile_zero_copy false base) in
+  let lin_rps, _ = nginx_copied Sim.Profile.linux in
+  (* Crash-consistency plane: journaling is a write-side mechanism and
+     must stay off the read path ([full] runs with the journal on). *)
+  let nojournal = fio_stats_run ~mbytes (Sim.Profile.with_ext2_journal false base) in
+  let fsync = fio_fsync_run ~mbytes:1 base in
+  (* Probe plane: the VM charges no virtual cycles, so the always-on
+     watchdogs, every probe detached, and extra programs attached must
+     all give the same run. *)
+  let probe_run ~detach extra =
     Aster.Kernel.boot_probes := extra;
-    ignore (Apps.Runner.boot ~profile:base);
-    Aster.Kernel.boot_probes := [];
-    if detach then Kprobe.Registry.reset ();
-    let out = ref { Apps.Fio.write_mb_s = nan; read_cold_mb_s = nan; read_mb_s = nan } in
-    Apps.Runner.spawn ~name:"fio" (fun c ->
-        out := Apps.Fio.run c ~file:"/ext2/fio.dat" ~mbytes;
-        0);
-    Apps.Runner.run ();
-    (!out, Sim.Clock.now ())
+    fio_stats_run ~mbytes base ~after_boot:(fun () ->
+        Aster.Kernel.boot_probes := [];
+        if detach then Kprobe.Registry.reset ())
   in
-  let watchdogs, t_watchdogs = probe_fio_run ~detach:false ~extra:[] () in
-  let detached, t_detached = probe_fio_run ~detach:true ~extra:[] () in
-  let attached, t_attached =
-    probe_fio_run ~detach:false
-      ~extra:
-        (List.filter_map Kprobe.Templates.by_name
-           [ "blk.lat"; "syscall.count"; "read_lat_by_fd" ])
-      ()
+  let watchdogs = probe_run ~detach:false [] in
+  let detached = probe_run ~detach:true [] in
+  let attached =
+    probe_run ~detach:false
+      (List.filter_map Kprobe.Templates.by_name [ "blk.lat"; "syscall.count"; "read_lat_by_fd" ])
   in
-  let blk_lat_count =
+  let blk_lat_bios =
     match Kprobe.Registry.find "blk.lat" with
     | None -> 0
-    | Some l -> (
-      match Hashtbl.find_opt l.Kprobe.Registry.store.Kprobe.Maps.hists "lat_us" with
-      | Some h -> Sim.Hist.count h
-      | None -> 0)
+    | Some l ->
+      Hashtbl.find_opt l.Kprobe.Registry.store.Kprobe.Maps.hists "lat_us"
+      |> Option.fold ~none:0 ~some:Sim.Hist.count
   in
-  Printf.printf
-    "fio_seq cold read: watchdogs %.3f MB/s @%Ld | detached %.3f MB/s @%Ld | +3 probes \
-     %.3f MB/s @%Ld (blk.lat observed %d bios)\n"
-    watchdogs.Apps.Fio.read_cold_mb_s t_watchdogs detached.Apps.Fio.read_cold_mb_s
-    t_detached attached.Apps.Fio.read_cold_mb_s t_attached blk_lat_count;
-  let fio_equal a b =
-    a.Apps.Fio.write_mb_s = b.Apps.Fio.write_mb_s
-    && a.Apps.Fio.read_cold_mb_s = b.Apps.Fio.read_cold_mb_s
-    && a.Apps.Fio.read_mb_s = b.Apps.Fio.read_mb_s
-  in
-  expect "detached probes leave fio_seq byte-identical (virtual end time)"
-    (Int64.equal t_watchdogs t_detached);
-  expect "detached probes leave fio_seq byte-identical (MB/s)" (fio_equal watchdogs detached);
-  expect "attached probes cost zero on fio_seq (virtual end time)"
-    (Int64.equal t_watchdogs t_attached);
-  expect "attached probes cost zero on fio_seq (MB/s)" (fio_equal watchdogs attached);
-  expect "attached blk.lat probe observed the run" (blk_lat_count > 0);
-  let bw_default, _, _, _, _ = bw_tcp_stats_run base in
+  let bw_default = bw_tcp_stats_run base in
   Aster.Kernel.boot_probes := List.filter_map Kprobe.Templates.by_name [ "net.bytes" ];
-  let bw_probed, _, _, _, _ = bw_tcp_stats_run base in
+  let bw_probed = bw_tcp_stats_run base in
   Aster.Kernel.boot_probes := [];
-  Printf.printf "bw_tcp 64k: default %.3f MB/s | +net.bytes probe %.3f MB/s\n" bw_default
-    bw_probed;
-  expect "attached net.bytes probe costs zero on bw_tcp" (bw_default = bw_probed);
-  print_endline "bench smoke: span plane cost (must be exactly zero)";
-  (* The span plane makes the same promise as the probe VM: zero virtual
-     cycles, no RNG draws. A span-off run must be byte-identical to the
-     span-on runs above (same MB/s, same virtual end time), and turning
-     spans back on must land on exactly the same end cycle. [full] and
-     [bw_default] above already ran span-on (the harness enables kspan
-     at startup), so they are the baselines. *)
+  (* Span plane, same promise: the harness runs span-on, so [full] and
+     [bw_default] are the span-on baselines. *)
   let with_span on f =
     if on then begin Sim.Span.enable (); Sim.Span.set_auto true end
     else begin Sim.Span.disable (); Sim.Span.set_auto false end;
-    let r = f () in
-    (r, Sim.Clock.now ())
+    f ()
   in
-  let (fio_off, _, _, _, _), t_fio_off = with_span false (fun () -> fio_stats_run ~mbytes base) in
-  let (fio_on, _, _, _, _), t_fio_on = with_span true (fun () -> fio_stats_run ~mbytes base) in
+  let fio_off = with_span false (fun () -> fio_stats_run ~mbytes base) in
+  let fio_on = with_span true (fun () -> fio_stats_run ~mbytes base) in
   let fio_spans = Sim.Span.finished_count () in
   let fio_residual = Sim.Span.max_residual_frac () in
-  let (bw_off, _, _, _, _), t_bw_off = with_span false (fun () -> bw_tcp_stats_run base) in
-  let (bw_on, _, _, _, _), t_bw_on = with_span true (fun () -> bw_tcp_stats_run base) in
-  Printf.printf
-    "fio_seq: span off %.3f MB/s @%Ld | span on %.3f MB/s @%Ld (%d spans, worst residual %.4f)\n"
-    fio_off.Apps.Fio.read_cold_mb_s t_fio_off fio_on.Apps.Fio.read_cold_mb_s t_fio_on
-    fio_spans fio_residual;
-  Printf.printf "bw_tcp 64k: span off %.3f MB/s @%Ld | span on %.3f MB/s @%Ld\n" bw_off
-    t_bw_off bw_on t_bw_on;
-  expect "span-off fio_seq byte-identical to span-on baseline (MB/s)" (fio_equal fio_off full);
-  expect "span-on adds zero virtual cycles to fio_seq (same end cycle)"
-    (Int64.equal t_fio_off t_fio_on);
-  expect "span-on fio_seq byte-identical (MB/s)" (fio_equal fio_off fio_on);
-  expect "span-off bw_tcp byte-identical to span-on baseline (MB/s)" (bw_off = bw_default);
-  expect "span-on adds zero virtual cycles to bw_tcp (same end cycle)"
-    (Int64.equal t_bw_off t_bw_on);
-  expect "span plane observed the fio run" (fio_spans > 0);
-  expect "span critical path attributes >=95% of tail wall time" (fio_residual < 0.05);
-  print_endline "bench smoke: epoll readiness at connection scale";
-  (* O(ready), not O(fds): quadrupling the idle pool must leave both
-     the per-wait sweep and the echo tail flat. The 10k row is the
-     acceptance floor: >=10k live mostly-idle connections with churn. *)
-  let small = c10k_row ~conns:2500 ~rounds:20 ~batch:32 ~churn:10 in
-  let big = c10k_row ~conns:10000 ~rounds:20 ~batch:32 ~churn:10 in
-  Printf.printf
-    "c10k: 2500 conns p99 %.1f us scan/wait %.2f | 10000 conns p99 %.1f us scan/wait %.2f (%d pings, %d churned)\n"
-    small.Apps.C10k.p99_us small.Apps.C10k.scan_per_wait big.Apps.C10k.p99_us
-    big.Apps.C10k.scan_per_wait big.Apps.C10k.pings big.Apps.C10k.churned;
-  expect "c10k holds >=10k mostly-idle connections through churn"
-    (big.Apps.C10k.conns >= 10000 && big.Apps.C10k.pings > 0 && big.Apps.C10k.churned > 0);
-  expect "epoll_wait sweep is O(ready): scan/wait flat as idle pool grows 4x"
-    (big.Apps.C10k.scan_per_wait <= 2. *. small.Apps.C10k.scan_per_wait);
-  expect "p99 wakeup latency independent of idle-connection count"
-    (big.Apps.C10k.p99_us <= 1.5 *. small.Apps.C10k.p99_us);
-  if !fail then exit 1 else print_endline "bench smoke: OK"
+  let bw_off = with_span false (fun () -> bw_tcp_stats_run base) in
+  let bw_on = with_span true (fun () -> bw_tcp_stats_run base) in
+  (* Epoll is O(ready), not O(fds): quadrupling the idle pool must leave
+     the per-wait sweep and the echo tail flat. *)
+  let _, small = c10k_rows 2500 in
+  let big, big_rows = c10k_rows 10000 in
+  let rows =
+    fio_seq_rows "smoke" ~full ~none
+    @ [
+        count ~unit_:"bios" "fio_merged_bios" full.merged;
+        count ~unit_:"hits" "fio_readahead_hits" full.ra_hits;
+      ]
+    @ bw_tcp_batch_rows ~full:nfull ~none:nnone
+    @ [
+        count "net_tx_bursts" nfull.bursts;
+        lat;
+        pair ~better:Higher ~unit_:"MB/s" "smoke/bw_tcp_rx" rx_off rx_on;
+        pair ~better:Lower ~unit_:"per MB" "smoke/rx_charges_per_mb" calls_off calls_on;
+        count ~unit_:"segments" "gro_merged" merged_on;
+        pair ~better:Higher ~unit_:"req/s" "smoke/nginx_f64k" lin_rps ast_rps;
+        pair ~better:Lower ~unit_:"bytes per MB" "smoke/sendfile_bytes_copied_per_mb"
+          bounce_copied zc_copied;
+        pair ~better:Higher ~unit_:"MB/s" "smoke/journal_fio_seq_read_cold"
+          nojournal.fio.read_cold_mb_s full.fio.read_cold_mb_s;
+        row ~aster:fsync.fsync_mb_s ~better:Higher ~unit_:"MB/s" "smoke/fio_fsync_write";
+        count "fio_fsyncs" fsync.fsyncs;
+        count "jbd_commits" fsync.commits;
+        count "fua_records" fsync.fua;
+      ]
+    @ fio_vs "smoke/probe_detached" watchdogs detached
+    @ fio_vs "smoke/probe_attached" watchdogs attached
+    @ [
+        count ~unit_:"bios" "probe_blk_lat_bios" blk_lat_bios;
+        pair ~better:Higher ~unit_:"MB/s" "smoke/probe_net_bytes/bw_tcp" bw_default.bw
+          bw_probed.bw;
+      ]
+    @ fio_vs "smoke/span_off_vs_baseline" full fio_off
+    @ fio_vs "smoke/span_on_vs_off" fio_off fio_on
+    @ [
+        pair ~better:Higher ~unit_:"MB/s" "smoke/span_off_vs_baseline/bw_tcp" bw_default.bw
+          bw_off.bw;
+        pair ~better:Lower ~unit_:"cycles" "smoke/span_on_vs_off/bw_tcp_end_cycle" bw_off.bw_end
+          bw_on.bw_end;
+        count "span_fio_spans" fio_spans;
+        row ~aster:fio_residual ~better:Lower ~unit_:"ratio" "smoke/span_worst_residual";
+      ]
+    @ small @ big_rows
+    @ [
+        count "c10k_conns" big.Apps.C10k.conns;
+        count "c10k_pings" big.Apps.C10k.pings;
+        count "c10k_churned" big.Apps.C10k.churned;
+      ]
+  in
+  (* The offloads-off bw_tcp pipeline must still reproduce the committed
+     table12 rows exactly (at the JSON's printed precision). *)
+  let committed =
+    match read_results "BENCH_results.json" with rs, _ -> rs | exception Sys_error _ -> []
+  in
+  let reproduces a n =
+    List.assoc_opt n committed = Some (Some (float_of_string (json_float (a n))))
+  in
+  (* Predicates over one row: aster vs k * linux, positive, identical. *)
+  let ge k n a l = a n >= k *. l n and le k n a l = a n <= k *. l n in
+  let lt n a l = a n < l n and pos n a _ = a n > 0. and same n a l = a n = l n in
+  let fio_equal p a l =
+    List.for_all (fun m -> same (p ^ m) a l) [ "/fio_write"; "/fio_read_cold"; "/fio_read_warm" ]
+  in
+  let same_end p = same (p ^ "/end_cycle") in
+  let gates : gate list =
+    [
+      ( "batching+readahead speeds cold sequential read by >=1.2x",
+        ge 1.2 "smoke/fio_seq_read_cold" );
+      ("batching merges bios", pos "smoke/fio_merged_bios");
+      ("readahead window produces demand hits", pos "smoke/fio_readahead_hits");
+      ("batching cuts doorbells per MB", lt "smoke/fio_doorbells_per_mb");
+      ("batching cuts completion IRQs per MB", lt "smoke/fio_irqs_per_mb");
+      ("TX batching speeds bw_tcp by >=1.2x", ge 1.2 "table12/bw_tcp_batch");
+      ("TX bursts were submitted", pos "smoke/net_tx_bursts");
+      ( "batching+coalescing cuts net doorbells+IRQs per MB >=5x",
+        fun a l ->
+          let both f = f "table12/net_doorbells_per_mb" +. f "table12/net_irqs_per_mb" in
+          5. *. both a <= both l );
+      ("TX batching does not tax single-segment latency (>5%)", le 1.05 "table12/lat_tcp_batch");
+      ("GRO merges RX segments", pos "smoke/gro_merged");
+      ("GRO cuts stack charge_rx invocations per MB >=5x", le 0.2 "smoke/rx_charges_per_mb");
+      ("GRO does not slow the RX stream", ge 0.95 "smoke/bw_tcp_rx");
+      ("zero-copy+GSO lift nginx_f64k to parity (norm >= 1.0)", ge 1. "smoke/nginx_f64k");
+      ("zero-copy sendfile cuts bytes-copied/MB >=2x", le 0.5 "smoke/sendfile_bytes_copied_per_mb");
+      ( "all-offloads-off reproduces the committed bw_tcp pipeline byte-for-byte",
+        fun a _ ->
+          List.for_all (reproduces a)
+            [ "table12/bw_tcp_batch"; "table12/net_doorbells_per_mb"; "table12/net_irqs_per_mb" ]
+      );
+      ( "journaling costs <=15% on the fio_seq cold-read path",
+        ge 0.85 "smoke/journal_fio_seq_read_cold" );
+      ( "fsync-heavy run commits once per fsync",
+        fun a _ -> a "smoke/fio_fsyncs" > 0. && a "smoke/jbd_commits" >= a "smoke/fio_fsyncs" );
+      ("commit records are written FUA", pos "smoke/fua_records");
+      ( "detached probes leave fio_seq byte-identical (virtual end time)",
+        same_end "smoke/probe_detached" );
+      ("detached probes leave fio_seq byte-identical (MB/s)", fio_equal "smoke/probe_detached");
+      ("attached probes cost zero on fio_seq (virtual end time)", same_end "smoke/probe_attached");
+      ("attached probes cost zero on fio_seq (MB/s)", fio_equal "smoke/probe_attached");
+      ("attached blk.lat probe observed the run", pos "smoke/probe_blk_lat_bios");
+      ("attached net.bytes probe costs zero on bw_tcp", same "smoke/probe_net_bytes/bw_tcp");
+      ( "span-off fio_seq byte-identical to span-on baseline (MB/s)",
+        fio_equal "smoke/span_off_vs_baseline" );
+      ( "span-on adds zero virtual cycles to fio_seq (same end cycle)",
+        same_end "smoke/span_on_vs_off" );
+      ("span-on fio_seq byte-identical (MB/s)", fio_equal "smoke/span_on_vs_off");
+      ( "span-off bw_tcp byte-identical to span-on baseline (MB/s)",
+        same "smoke/span_off_vs_baseline/bw_tcp" );
+      ( "span-on adds zero virtual cycles to bw_tcp (same end cycle)",
+        same "smoke/span_on_vs_off/bw_tcp_end_cycle" );
+      ("span plane observed the fio run", pos "smoke/span_fio_spans");
+      ( "span critical path attributes >=95% of tail wall time",
+        fun a _ -> a "smoke/span_worst_residual" < 0.05 );
+      ( "c10k holds >=10k mostly-idle connections through churn",
+        fun a _ ->
+          a "smoke/c10k_conns" >= 10000. && a "smoke/c10k_pings" > 0. && a "smoke/c10k_churned" > 0.
+      );
+      ( "epoll_wait sweep is O(ready): scan/wait flat as idle pool grows 4x",
+        fun a _ -> a "c10k/10000/scan_per_wait" <= 2. *. a "c10k/2500/scan_per_wait" );
+      ( "p99 wakeup latency independent of idle-connection count",
+        fun a _ -> a "c10k/10000/p99_wakeup" <= 1.5 *. a "c10k/2500/p99_wakeup" );
+    ]
+  in
+  (rows, gates)
 
-(* --- Regression gate: bench --compare BASELINE.json --- *)
+(* --- Regression gate: bench --compare BASELINE.json ---
 
-(* Minimal parser for the JSON this harness writes: each result object
-   sits on its own line, so field extraction is line-local. Only the
-   fields the gate needs are read. *)
-let str_find s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
+   Exits non-zero when any row's aster value is more than 10% worse
+   than the baseline's in the row's [better] direction, when no row
+   matched the baseline at all, or (when the run's targets equal the
+   baseline's) when a baseline row is missing from the run. *)
 
-let line_field_string line key =
-  let pat = Printf.sprintf "\"%s\": \"" key in
-  match str_find line pat with
-  | None -> None
-  | Some i -> (
-    let start = i + String.length pat in
-    match String.index_from_opt line start '"' with
-    | None -> None
-    | Some j -> Some (String.sub line start (j - start)))
-
-let line_field_number line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  match str_find line pat with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    let j = ref start in
-    let num c = match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
-    while !j < String.length line && num line.[!j] do
-      incr j
-    done;
-    if !j = start then None else float_of_string_opt (String.sub line start (!j - start))
-
-let read_baseline path =
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match (line_field_string line "benchmark", line_field_number line "aster") with
-       | Some b, Some v ->
-         let u = Option.value ~default:"" (line_field_string line "unit") in
-         rows := (b, (u, v)) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !rows
-
-(* Latency-style units regress upward, throughput-style downward. *)
-let lower_is_better u =
-  let u = String.lowercase_ascii u in
-  str_find u "mb/s" = None && str_find u "req/s" = None && str_find u "ops" = None
-
-let compare_with_baseline path =
-  let base = read_baseline path in
-  let checked = ref 0 in
-  let regressions = ref [] in
+let compare_with_baseline path ~targets rows =
+  let base, base_targets = read_results path in
+  let checked = ref 0 and regressions = ref [] in
   List.iter
     (fun r ->
-      match r.aster with
-      | Some v -> (
-        match List.assoc_opt r.benchmark base with
-        | Some (u, bv) when Float.abs bv > 1e-9 ->
-          incr checked;
-          let delta = if lower_is_better u then (v -. bv) /. bv else (bv -. v) /. bv in
-          if delta > 0.10 then regressions := (r.benchmark, u, bv, v, delta) :: !regressions
-        | _ -> ())
+      match (r.aster, List.assoc_opt r.name base) with
+      | Some v, Some (Some bv) when Float.abs bv > 1e-9 ->
+        incr checked;
+        let delta = match r.better with Lower -> (v -. bv) /. bv | Higher -> (bv -. v) /. bv in
+        if delta > 0.10 then regressions := (r, bv, v, delta) :: !regressions
       | _ -> ())
-    !results;
-  Printf.printf "\ncompare vs %s: %d metrics checked, %d regressed >10%%\n" path
+    rows;
+  let missing =
+    if targets <> base_targets then []
+    else
+      List.filter_map
+        (fun (b, _) -> if List.exists (fun r -> r.name = b) rows then None else Some b)
+        base
+  in
+  Printf.printf "\ncompare vs %s: %d metrics checked, %d regressed >10%%, %d missing\n" path
     !checked
-    (List.length !regressions);
+    (List.length !regressions)
+    (List.length missing);
   List.iter
-    (fun (b, u, bv, v, d) ->
-      Printf.printf "  REGRESSION %-40s %s: baseline %.4g -> %.4g (%.0f%% worse)\n" b u bv v
-        (100. *. d))
+    (fun (r, bv, v, d) ->
+      Printf.printf "  REGRESSION %-40s %s: baseline %.4g -> %.4g (%.0f%% worse)\n" r.name
+        r.unit_ bv v (100. *. d))
     (List.rev !regressions);
-  if !regressions <> [] then exit 1
+  List.iter (Printf.printf "  MISSING    %s\n") missing;
+  if !checked = 0 then print_endline "  FAIL: no row of this run matched the baseline";
+  if !checked = 0 || !regressions <> [] || missing <> [] then exit 1
+
+(* A target returns its rows and the gates over them; report-only
+   targets print and return neither. *)
+let report f () =
+  f ();
+  ([], [])
+
+let rows f () = (f (), [])
 
 let all_targets =
   [
-    ("table1", table1);
-    ("table3", table3);
-    ("table7", table7);
-    ("table8", table8);
-    ("table9", table9);
-    ("table10", table10);
-    ("table11", table11);
-    ("table12", table12);
-    ("fig5a", fig5a);
-    ("fig5b", fig5b);
-    ("fig5c", table12);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig9", fig9);
-    ("ablations", ablations);
-    ("bechamel", bechamel_table8);
-    ("chaos", chaos_bench);
-    ("fio_seq", fio_seq);
-    ("fio_fsync", fio_fsync);
-    ("bw_tcp_batch", bw_tcp_batch);
-    ("offloads", offload_matrix);
-    ("c10k", c10k);
+    ("table1", report table1);
+    ("table3", report table3);
+    ("table7", rows table7);
+    ("table8", report table8);
+    ("table9", report table9);
+    ("table10", report table10);
+    ("table11", rows table11);
+    ("table12", rows table12);
+    ("fig5a", rows fig5a);
+    ("fig5b", rows fig5b);
+    ("fig5c", rows table12);
+    ("fig6", report fig6);
+    ("fig7", report fig7);
+    ("fig9", report fig9);
+    ("ablations", report ablations);
+    ("bechamel", report bechamel_table8);
+    ("chaos", rows chaos_bench);
+    ("fio_seq", rows fio_seq);
+    ("fio_fsync", rows fio_fsync);
+    ("bw_tcp_batch", rows bw_tcp_batch);
+    ("offloads", rows offload_matrix);
+    ("c10k", rows c10k);
     ("smoke", smoke);
   ]
 
@@ -1327,6 +1225,12 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
+  (match List.filter (fun t -> not (List.mem_assoc t all_targets)) args with
+  | [] -> ()
+  | unknown ->
+    List.iter (Printf.eprintf "unknown target: %s\n") unknown;
+    Printf.eprintf "targets: %s\n" (String.concat " " (List.map fst all_targets));
+    exit 2);
   Apps.Libc.install_child_resolver ();
   (* kprof rides along for the cpu breakdown in the JSON: it charges no
      virtual cycles, so measured numbers are unchanged. *)
@@ -1337,20 +1241,22 @@ let () =
   Sim.Span.enable ();
   Sim.Span.set_auto true;
   let targets = if args = [] then default_order else args in
-  List.iter
-    (fun t ->
-      match List.assoc_opt t all_targets with
-      | Some f -> f ()
-      | None -> Printf.printf "unknown target: %s\n" t)
-    targets;
+  let rows =
+    List.concat_map
+      (fun t ->
+        let rows, gates = (List.assoc t all_targets) () in
+        print_rows rows;
+        check_gates rows gates;
+        rows)
+      targets
+  in
   (* The committed BENCH_results.json only ever holds the full default
-     run: a subset invocation (smoke, one ablation) writes it only where
-     --json explicitly says to, instead of clobbering the trajectory
-     file with a partial result set. *)
-  (match (!json_path, args) with
-  | Some path, _ -> write_json ~path ~targets
-  | None, [] -> write_json ~path:"BENCH_results.json" ~targets
-  | None, _ :: _ -> ());
-  (* Regression gate last, after the JSON is safely on disk: exits
-     non-zero when any metric is >10% worse than the baseline. *)
-  match !baseline with None -> () | Some path -> compare_with_baseline path
+     run: a subset or quick invocation writes JSON only where --json
+     says to, instead of clobbering the trajectory file. *)
+  (match (!json_path, args, !quick) with
+  | Some path, _, _ -> write_json ~path ~targets rows
+  | None, [], false -> write_json ~path:"BENCH_results.json" ~targets rows
+  | None, _, _ -> ());
+  (* Regression gate after the JSON is safely on disk. *)
+  Option.iter (fun path -> compare_with_baseline path ~targets rows) !baseline;
+  if !gates_failed then exit 1

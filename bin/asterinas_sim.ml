@@ -26,14 +26,9 @@ let profile_arg =
 let requests_arg =
   Arg.(value & opt int 2000 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Request count.")
 
-let boot_summary profile =
-  let k = Apps.Runner.boot ~profile in
-  Apps.Libc.install_child_resolver ();
-  (k, Aster.Kernel.attach_host k)
-
 let cmd_boot =
   let run profile =
-    let _k, _host = boot_summary profile in
+    ignore (Aster.Kernel.attach_host (Apps.Runner.boot ~profile));
     Printf.printf "booted %s: %d frames of RAM, %d-sector disk, %d syscalls implemented\n"
       profile.Sim.Profile.name (Ostd.Frame.total_frames ())
       (Aster.Block.capacity_sectors ())
@@ -66,51 +61,24 @@ let workload_table : (string * (Sim.Profile.t -> int -> unit)) list =
   [
     ( "nginx",
       fun profile requests ->
-        let _k, host = boot_summary profile in
-        Apps.Mini_nginx.spawn ~requests ~sizes:[ ("f4k", 4096); ("f64k", 65536) ] ();
-        let out = ref None in
-        Apps.Ab.run ~host ~path:"/f4k" ~concurrency:32 ~requests ~on_done:(fun r ->
-            out := Some r);
-        Apps.Runner.run ();
-        match !out with
-        | Some r ->
-          Printf.printf "%s nginx 4k: %.0f requests/s\n" profile.Sim.Profile.name r.Apps.Ab.rps
-        | None -> print_endline "no result" );
+        Printf.printf "%s nginx 4k: %.0f requests/s\n" profile.Sim.Profile.name
+          (Apps.Workload.nginx_rps ~profile ~file:"f4k" ~requests) );
     ( "redis",
       fun profile requests ->
-        let _k, host = boot_summary profile in
-        Apps.Mini_redis.spawn ();
-        let out = ref None in
-        Apps.Redis_bench.run_op ~host ~op:"GET" ~clients:16 ~requests ~on_done:(fun r ->
-            out := Some r);
-        Apps.Runner.run ();
-        match !out with
-        | Some r ->
-          Printf.printf "%s redis GET: %.0f requests/s\n" profile.Sim.Profile.name
-            r.Apps.Redis_bench.rps
-        | None -> print_endline "no result" );
+        Printf.printf "%s redis GET: %.0f requests/s\n" profile.Sim.Profile.name
+          (Apps.Workload.redis_rps ~profile ~op:"GET" ~requests) );
     ( "sqlite",
       fun profile _requests ->
-        let _ = boot_summary profile in
-        let out = ref [] in
-        Apps.Runner.spawn ~name:"speedtest1" (fun c ->
-            out := Apps.Speedtest1.run ~size:10 c;
-            0);
-        Apps.Runner.run ();
-        let total = List.fold_left (fun a r -> a +. r.Apps.Speedtest1.seconds) 0. !out in
+        let out = Apps.Workload.speedtest1 ~profile ~size:10 in
+        let total = List.fold_left (fun a r -> a +. r.Apps.Speedtest1.seconds) 0. out in
         Printf.printf "%s speedtest1 total: %.4f virtual seconds over %d tests\n"
-          profile.Sim.Profile.name total (List.length !out) );
+          profile.Sim.Profile.name total (List.length out) );
     ( "fio",
       fun profile _requests ->
-        let _ = boot_summary profile in
-        let out = ref { Apps.Fio.write_mb_s = nan; read_cold_mb_s = nan; read_mb_s = nan } in
-        Apps.Runner.spawn ~name:"fio" (fun c ->
-            out := Apps.Fio.run c ~file:"/ext2/fio.dat" ~mbytes:8;
-            0);
-        Apps.Runner.run ();
+        let r = Apps.Workload.fio ~profile ~mbytes:8 () in
         Printf.printf "%s fio: write %.0f MB/s, cold read %.0f MB/s, warm read %.0f MB/s\n"
-          profile.Sim.Profile.name !out.Apps.Fio.write_mb_s !out.Apps.Fio.read_cold_mb_s
-          !out.Apps.Fio.read_mb_s );
+          profile.Sim.Profile.name r.Apps.Fio.write_mb_s r.Apps.Fio.read_cold_mb_s
+          r.Apps.Fio.read_mb_s );
     ( "lmbench",
       fun profile _requests ->
         List.iter

@@ -638,13 +638,7 @@ let bw_tcp_loopback ~msg profile =
 
 (* Virtio rows: the peer lives on the host side of the tap. *)
 
-let with_host profile setup =
-  let k = Runner.boot ~profile in
-  let host = Aster.Kernel.attach_host k in
-  let out = ref nan in
-  setup host out;
-  Runner.run ();
-  !out
+let with_host profile setup = Workload.with_host ~profile ~default:nan setup
 
 let lat_udp_virtio profile =
   with_host profile (fun host out ->
