@@ -131,23 +131,16 @@ let clone_bio bio =
     dev_done = 0L;
   }
 
-(* Wait until the bio completes or the deadline passes. In task context
-   we sleep on the bio's wait queue with a timer; at early boot (mkfs /
-   mount before tasks exist) we poll the event loop. *)
-let wait_with_deadline bio ~cycles =
+(* Wait until the bio completes or the absolute [deadline] passes. In
+   task context we sleep on the bio's wait queue with a deadline; at
+   early boot (mkfs / mount before tasks exist) we poll the event loop. *)
+let wait_with_deadline bio ~deadline =
   match Ostd.Task.current_opt () with
   | Some _ ->
-    let timed_out = ref false in
-    let ev =
-      Sim.Events.schedule_after cycles (fun () ->
-          timed_out := true;
-          ignore (Ostd.Wait_queue.wake_all bio.wq))
-    in
-    Ostd.Wait_queue.sleep_until bio.wq (fun () -> bio.status <> None || !timed_out);
-    Sim.Events.cancel ev;
-    if bio.status <> None then `Done else `Timeout
+    if Ostd.Wait_queue.sleep_until_deadline bio.wq ~deadline (fun () -> bio.status <> None)
+    then `Done
+    else `Timeout
   | None ->
-    let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
     let rec poll () =
       if bio.status <> None then `Done
       else if Int64.compare (Sim.Clock.now ()) deadline > 0 then `Timeout
@@ -155,6 +148,8 @@ let wait_with_deadline bio ~cycles =
       else `Timeout (* the device went silent: no completion will ever come *)
     in
     poll ()
+
+let deadline_after cycles = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles)
 
 let op_name = function
   | Read -> "read"
@@ -195,7 +190,7 @@ let submit_and_wait bio =
         Printf.sprintf "%s attempt=%d" (bio_args bio) n);
     fire_issue bio;
     D.submit b;
-    match wait_with_deadline b ~cycles:(bio_deadline_cycles n) with
+    match wait_with_deadline b ~deadline:(deadline_after (bio_deadline_cycles n)) with
     | `Done -> (
       match b.status with
       | Some 0 ->
@@ -264,13 +259,10 @@ let batch_deadline_cycles n = Sim.Clock.us (8000. +. (250. *. float_of_int n))
 (* Wait for every clone against one shared absolute deadline, reusing
    the per-bio wait (works in task context and boot-time polling). *)
 let wait_batch clones ~cycles =
-  let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
+  let deadline = deadline_after cycles in
   List.iter
     (fun b ->
-      if b.status = None then begin
-        let remaining = Int64.to_int (Int64.sub deadline (Sim.Clock.now ())) in
-        if remaining > 0 then ignore (wait_with_deadline b ~cycles:remaining)
-      end)
+      if Int64.compare (Sim.Clock.now ()) deadline < 0 then ignore (wait_with_deadline b ~deadline))
     clones
 
 (* Split sorted bios into runs of same-op, sector-adjacent requests. *)

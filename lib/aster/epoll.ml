@@ -177,16 +177,14 @@ let collect t ~maxevents =
 
 (* timeout_cycles < 0: block until ready; 0: non-blocking probe;
    > 0: block, returning [] at exactly now+timeout_cycles (virtual)
-   if nothing became ready — the bound is a timer-wheel entry, so 10k
-   waiters armed and cancelled per churn round stay O(1) each. *)
+   if nothing became ready. Each timed sleep arms one deadline event
+   and charges one timer programming. *)
 let wait t ~maxevents ~timeout_cycles =
   Sim.Stats.incr "epoll.wait_calls";
   if maxevents <= 0 then []
   else begin
-    let deadline =
-      if timeout_cycles > 0 then Some (Int64.add (Sim.Clock.now ()) (Int64.of_int timeout_cycles))
-      else None
-    in
+    let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int timeout_cycles) in
+    let woken () = t.closed || not (Queue.is_empty t.ready) in
     let rec go () =
       let evs = collect t ~maxevents in
       if evs <> [] then begin
@@ -194,21 +192,15 @@ let wait t ~maxevents ~timeout_cycles =
         evs
       end
       else if t.closed || timeout_cycles = 0 then evs
-      else
-        match deadline with
-        | None ->
-          Ostd.Wait_queue.sleep t.wq;
-          go ()
-        | Some dl ->
-          if Int64.compare (Sim.Clock.now ()) dl >= 0 then []
-          else begin
-            let me = Ostd.Task.current () in
-            let wheel = Timer_wheel.the () in
-            let tm = Timer_wheel.arm wheel ~deadline:dl (fun () -> Ostd.Task.wake me) in
-            Ostd.Wait_queue.sleep t.wq;
-            Timer_wheel.cancel wheel tm;
-            go ()
-          end
+      else if timeout_cycles < 0 then begin
+        Ostd.Wait_queue.sleep t.wq;
+        go ()
+      end
+      else if Int64.compare (Sim.Clock.now ()) deadline >= 0 then []
+      else begin
+        Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.timer_program;
+        if Ostd.Wait_queue.sleep_until_deadline t.wq ~deadline woken then go () else []
+      end
     in
     go ()
   end

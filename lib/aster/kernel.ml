@@ -24,7 +24,6 @@ let reset_services () =
   Strace.reset ();
   Process.reset ();
   Kprobe.Registry.reset ();
-  Timer_wheel.reset_global ();
   Epoll.reset_ids ();
   Ktime.stop_ticker ()
 

@@ -156,29 +156,37 @@ let do_write_desc ?len proc (f : File.t) data =
     | File.S_unix_conn ep -> Unix_sock.send ~nonblock ep ~buf:data ~pos:0 ~len
     | _ -> Error Errno.enotconn)
 
-(* --- Individual syscalls --- *)
+(* --- Individual syscalls ---
+
+   Byte counts are size_t: like Linux's rw_verify_area, a count that is
+   negative as an ssize_t fails with EINVAL before any buffer is sized. *)
 
 let sys_read proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok f -> (
     let len = int_arg args 2 in
-    match do_read_desc f ~len with
-    | Error e -> err e
-    | Ok data -> (
-      match user_write proc ~vaddr:(int_arg args 1) data with
-      | Ok () -> ok (Bytes.length data)
-      | Error e -> err e))
+    if len < 0 then err Errno.einval
+    else
+      match do_read_desc f ~len with
+      | Error e -> err e
+      | Ok data -> (
+        match user_write proc ~vaddr:(int_arg args 1) data with
+        | Ok () -> ok (Bytes.length data)
+        | Error e -> err e))
 
 let sys_write proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok f -> (
     let len = int_arg args 2 in
-    Strace.record_size ~nr:N.write ~size:len;
-    match user_read proc ~vaddr:(int_arg args 1) ~len with
-    | Error e -> err e
-    | Ok data -> lift (do_write_desc proc f data))
+    if len < 0 then err Errno.einval
+    else begin
+      Strace.record_size ~nr:N.write ~size:len;
+      match user_read proc ~vaddr:(int_arg args 1) ~len with
+      | Error e -> err e
+      | Ok data -> lift (do_write_desc proc f data)
+    end)
 
 let sys_pread proc args =
   match file_of proc args.(0) with
@@ -187,13 +195,15 @@ let sys_pread proc args =
     match f.File.desc with
     | File.Inode_file inode -> (
       let len = int_arg args 2 and off = int_arg args 3 in
-      let buf = Bytes.create len in
-      match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len with
-      | Error e -> err e
-      | Ok n -> (
-        match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
-        | Ok () -> ok n
-        | Error e -> err e))
+      if len < 0 then err Errno.einval
+      else
+        let buf = Bytes.create len in
+        match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len with
+        | Error e -> err e
+        | Ok n -> (
+          match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
+          | Ok () -> ok n
+          | Error e -> err e))
     | _ -> err Errno.espipe)
 
 let sys_pwrite proc args =
@@ -203,10 +213,13 @@ let sys_pwrite proc args =
     match f.File.desc with
     | File.Inode_file inode -> (
       let len = int_arg args 2 and off = int_arg args 3 in
-      Strace.record_size ~nr:N.pwrite64 ~size:len;
-      match user_read proc ~vaddr:(int_arg args 1) ~len with
-      | Error e -> err e
-      | Ok data -> lift (inode.Vfs.ops.Vfs.write inode ~pos:off ~buf:data ~boff:0 ~len))
+      if len < 0 then err Errno.einval
+      else begin
+        Strace.record_size ~nr:N.pwrite64 ~size:len;
+        match user_read proc ~vaddr:(int_arg args 1) ~len with
+        | Error e -> err e
+        | Ok data -> lift (inode.Vfs.ops.Vfs.write inode ~pos:off ~buf:data ~boff:0 ~len)
+      end)
     | _ -> err Errno.espipe)
 
 let iovec_list proc vaddr count =
@@ -864,23 +877,25 @@ let sys_sendto proc args =
     | Ok s -> (
       match s.File.st with
       | File.S_udp _ | File.S_unbound when s.File.kind = File.Inet_dgram -> (
-        match user_read proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) with
-        | Error e -> err e
-        | Ok data -> (
-          let u =
-            match s.File.st with
-            | File.S_udp u -> u
-            | _ ->
-              let _, _, eng = the_net () in
-              let u = Udp.socket eng in
-              s.File.st <- File.S_udp u;
-              u
-          in
-          match read_sockaddr proc (int_arg args 4) (int_arg args 5) with
+        if int_arg args 2 < 0 then err Errno.einval
+        else
+          match user_read proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) with
           | Error e -> err e
-          | Ok (Some (Abi.Addr_in { port; ip })) ->
-            lift (Udp.sendto u ~dst_ip:ip ~dst_port:port ~buf:data ~pos:0 ~len:(Bytes.length data))
-          | Ok _ -> err Errno.einval))
+          | Ok data -> (
+            let u =
+              match s.File.st with
+              | File.S_udp u -> u
+              | _ ->
+                let _, _, eng = the_net () in
+                let u = Udp.socket eng in
+                s.File.st <- File.S_udp u;
+                u
+            in
+            match read_sockaddr proc (int_arg args 4) (int_arg args 5) with
+            | Error e -> err e
+            | Ok (Some (Abi.Addr_in { port; ip })) ->
+              lift (Udp.sendto u ~dst_ip:ip ~dst_port:port ~buf:data ~pos:0 ~len:(Bytes.length data))
+            | Ok _ -> err Errno.einval))
       | _ -> sys_write proc [| args.(0); args.(1); args.(2) |]))
 
 let sys_recvfrom proc args =
@@ -893,18 +908,20 @@ let sys_recvfrom proc args =
       match s.File.st with
       | File.S_udp u -> (
         let len = int_arg args 2 in
-        let buf = Bytes.create len in
-        match Udp.recvfrom u ~buf ~pos:0 ~len with
-        | Error e -> err e
-        | Ok (n, src_ip, src_port) -> (
-          let addr_ptr = int_arg args 4 in
-          if addr_ptr <> 0 then
-            ignore
-              (user_write proc ~vaddr:addr_ptr
-                 (Abi.encode_sockaddr_in ~port:src_port ~ip:src_ip));
-          match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
-          | Ok () -> ok n
-          | Error e -> err e))
+        if len < 0 then err Errno.einval
+        else
+          let buf = Bytes.create len in
+          match Udp.recvfrom u ~buf ~pos:0 ~len with
+          | Error e -> err e
+          | Ok (n, src_ip, src_port) -> (
+            let addr_ptr = int_arg args 4 in
+            if addr_ptr <> 0 then
+              ignore
+                (user_write proc ~vaddr:addr_ptr
+                   (Abi.encode_sockaddr_in ~port:src_port ~ip:src_ip));
+            match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
+            | Ok () -> ok n
+            | Error e -> err e))
       | _ -> sys_read proc [| args.(0); args.(1); args.(2) |]))
 
 let sys_socketpair proc args =
@@ -1209,7 +1226,7 @@ let sys_getrandom proc args =
 
    Both sit on the Pollable seam. poll is the O(nfds) shape: every
    call resolves and levels every fd; blocking parks on the pollables'
-   edge publications plus a timer-wheel deadline — no busy loop.
+   edge publications with one OSTD deadline sleep — no busy loop.
    epoll is the O(ready) shape: the interest list lives in the kernel
    and a wait touches only edge-queued entries. *)
 
@@ -1228,11 +1245,15 @@ let pollable_of_desc (d : File.desc) =
     | File.S_unbound -> None)
   | File.Inode_file _ -> None
 
+(* poll(2) fails nfds above RLIMIT_NOFILE with EINVAL; the ceiling here
+   is Linux's default fs.nr_open. *)
+let max_poll_nfds = 1 lsl 20
+
 let sys_poll proc args =
   (* pollfd: int fd, short events, short revents. *)
   let base = int_arg args 0 in
   let nfds = int_arg args 1 in
-  if nfds < 0 then err Errno.einval
+  if nfds < 0 || nfds > max_poll_nfds then err Errno.einval
   else begin
     (* ERR/HUP/NVAL are reported whether requested or not. *)
     let always = Pollable.pollerr lor Pollable.pollhup lor Pollable.pollnval in
@@ -1282,11 +1303,7 @@ let sys_poll proc args =
     in
     let timeout_ms = int_arg args 2 in
     let deadline =
-      if timeout_ms < 0 then None
-      else
-        Some
-          (Int64.add (Sim.Clock.now ())
-             (Int64.of_int (Sim.Clock.us (float_of_int timeout_ms *. 1000.))))
+      Int64.add (Sim.Clock.now ()) (Int64.of_int (Sim.Clock.us (float_of_int timeout_ms *. 1000.)))
     in
     (* Subscribe before the first scan so no edge can slip between
        "level says not ready" and "blocked" (the sim never preempts
@@ -1300,29 +1317,20 @@ let sys_poll proc args =
                Some (p, Pollable.attach p (fun _ -> ignore (Ostd.Wait_queue.wake_all wq : int)))
              | `Static _ -> None)
     in
-    let finish revs =
-      List.iter (fun (p, w) -> Pollable.detach p w) subs;
-      write_back revs;
-      ok (count revs)
+    let revs = ref (scan ()) in
+    let ready () =
+      revs := scan ();
+      count !revs > 0
     in
-    let rec loop () =
-      let revs = scan () in
-      if count revs > 0 || timeout_ms = 0 then finish revs
-      else
-        match deadline with
-        | Some dl when Int64.compare (Sim.Clock.now ()) dl >= 0 -> finish revs
-        | Some dl ->
-          let me = Ostd.Task.current () in
-          let wheel = Timer_wheel.the () in
-          let tm = Timer_wheel.arm wheel ~deadline:dl (fun () -> Ostd.Task.wake me) in
-          Ostd.Wait_queue.sleep wq;
-          Timer_wheel.cancel wheel tm;
-          loop ()
-        | None ->
-          Ostd.Wait_queue.sleep wq;
-          loop ()
-    in
-    loop ()
+    (if count !revs = 0 && timeout_ms <> 0 then
+       if timeout_ms < 0 then Ostd.Wait_queue.sleep_until wq ready
+       else begin
+         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.timer_program;
+         ignore (Ostd.Wait_queue.sleep_until_deadline wq ~deadline ready : bool)
+       end);
+    List.iter (fun (p, w) -> Pollable.detach p w) subs;
+    write_back !revs;
+    ok (count !revs)
   end
 
 (* epoll_event on the wire: packed u32 events + u64 data (12 bytes),

@@ -15,18 +15,6 @@ let sleep_until wq cond =
     sleep wq
   done
 
-let sleep_timeout wq ~cycles =
-  let t = Task.current () in
-  let fired = ref false in
-  let ev =
-    Sim.Events.schedule_after cycles (fun () ->
-        fired := true;
-        Task.wake t)
-  in
-  sleep wq;
-  Sim.Events.cancel ev;
-  not !fired
-
 let rec wake_one wq =
   match wq.q with
   | [] -> false
@@ -45,5 +33,16 @@ let wake_all wq =
     incr n
   done;
   !n
+
+let sleep_until_deadline wq ~deadline cond =
+  cond ()
+  || Int64.compare (Sim.Clock.now ()) deadline < 0
+     &&
+     let fired = ref false in
+     let ev = Sim.Events.schedule_at deadline (fun () -> fired := true; ignore (wake_all wq : int)) in
+     let rec go () = sleep wq; cond () || ((not !fired) && go ()) in
+     let held = go () in
+     Sim.Events.cancel ev;
+     held
 
 let waiters wq = List.length wq.q

@@ -14,8 +14,9 @@ val sleep_until : t -> (unit -> bool) -> unit
 (** Sleep in a loop until the condition holds; the condition is
     re-checked after every wake-up, so spurious wake-ups are harmless. *)
 
-val sleep_timeout : t -> cycles:int -> bool
-(** [true] if woken through the queue, [false] on timeout. *)
+val sleep_until_deadline : t -> deadline:int64 -> (unit -> bool) -> bool
+(** {!sleep_until} that gives up at the absolute cycle [deadline]; [true] iff
+    the condition holds on return. One event covers the whole wait. *)
 
 val wake_one : t -> bool
 (** Wake the longest-waiting task; [false] if the queue was empty. *)

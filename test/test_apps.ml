@@ -155,6 +155,38 @@ let test_poll_on_pipe () =
   in
   check_int "exit" 0 code
 
+(* Out-of-range sizes must fail the call with EINVAL, not take the
+   kernel down: a negative byte count used to size a host buffer, and
+   a huge nfds sized poll's entry array. The program keeps running and
+   its next ordinary syscall succeeds. *)
+let test_bad_sizes_einval () =
+  let module N = Aster.Syscall_nr in
+  let rets = ref [] in
+  let code =
+    run_user (fun c ->
+        let file = Int64.of_int (Apps.Libc.openf c "/tmp/sizes" ~flags:0o102 ~mode:0o644) in
+        let udp =
+          Int64.of_int (Apps.Libc.socket c ~domain:Aster.Abi.af_inet ~typ:Aster.Abi.sock_dgram)
+        in
+        let buf = Int64.of_int (Apps.Libc.ualloc c 4096) in
+        rets :=
+          List.map
+            (fun (name, nr, args) -> (name, Apps.Libc.syscall c nr args))
+            [
+              ("read", N.read, [| file; buf; -1L |]);
+              ("write", N.write, [| file; buf; -1L |]);
+              ("pread64", N.pread64, [| file; buf; -1L; 0L |]);
+              ("pwrite64", N.pwrite64, [| file; buf; -1L; 0L |]);
+              ("recvfrom", N.recvfrom, [| udp; buf; -1L; 0L; 0L; 0L |]);
+              ("sendto", N.sendto, [| udp; buf; -1L; 0L; 0L; 0L |]);
+              ("poll", N.poll, [| buf; Int64.of_int (1 lsl 60); 0L |]);
+            ];
+        if Apps.Libc.write_str c ~fd:(Int64.to_int file) "ok" = 2 then 0 else 1)
+  in
+  List.iter (fun (name, r) -> check_int (name ^ " returns -EINVAL") (-Aster.Errno.einval) r) !rets;
+  check_int "cases ran" 7 (List.length !rets);
+  check_int "a later write still succeeds" 0 code
+
 let test_clock_monotonic () =
   let code =
     run_user (fun c ->
@@ -510,6 +542,7 @@ let () =
           Alcotest.test_case "dup_cwd" `Quick test_libc_dup_umask_cwd;
           Alcotest.test_case "readv_writev" `Quick test_libc_readv_writev;
           Alcotest.test_case "poll_pipe" `Quick test_poll_on_pipe;
+          Alcotest.test_case "bad_sizes_einval" `Quick test_bad_sizes_einval;
           Alcotest.test_case "clock" `Quick test_clock_monotonic;
           Alcotest.test_case "getrandom" `Quick test_getrandom;
         ] );

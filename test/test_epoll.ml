@@ -11,12 +11,12 @@
    The suites here pin both halves: a randomized differential driver
    compares the two interfaces step by step over pipes and unix
    socketpairs; an ET/ONESHOT matrix checks transition semantics
-   including peer close (FIN) and abortive reset (RST); the timer wheel
-   is checked against a naive sorted-list oracle; the epoll/poll
-   timeout paths must return at the exact virtual deadline without
-   busy-looping; and an "epoll-churn" chaos group runs the c10k
-   edge-triggered server under injected TX faults with connection
-   churn, asserting liveness and same-seed byte-identical schedules. *)
+   including peer close (FIN) and abortive reset (RST); the epoll/poll
+   timeout paths (one OSTD deadline sleep each) must return at the
+   exact virtual deadline without busy-looping; and an "epoll-churn"
+   chaos group runs the c10k edge-triggered server under injected TX
+   faults with connection churn, asserting liveness and same-seed
+   byte-identical schedules. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -24,108 +24,6 @@ let check_int = Alcotest.(check int)
 module L = Apps.Libc
 
 let boot () = Apps.Runner.boot ~profile:Sim.Profile.asterinas
-
-(* --- Timer wheel vs naive sorted-list oracle --- *)
-
-let wheel_oracle seed () =
-  ignore (boot ());
-  let w = Aster.Timer_wheel.the () in
-  let rng = Sim.Rng.create seed in
-  let n = 200 in
-  let fired = ref [] in
-  let deadlines = Array.make n 0L in
-  let handles = Array.make n None in
-  let cancelled = Array.make n false in
-  let expected = ref n in
-  let t_armed = ref 0L in
-  let done_wq = Ostd.Wait_queue.create () in
-  (* Arm from a settled task and block until the last callback: firing
-     exactness is a property of an idle CPU, and the arming loop itself
-     charges timer_program cycles per arm, pushing the clock past the
-     shortest deadlines before anything can fire. *)
-  Apps.Runner.spawn ~name:"oracle" (fun _c ->
-      Ostd.Task.sleep_us 1000.;
-      for i = 0 to n - 1 do
-        (* Mixed magnitudes so every wheel level and the cascade path
-           are exercised: sub-tick, level-0, mid-level, and ~200 ms
-           out. *)
-        let delta =
-          match Sim.Rng.int rng 4 with
-          | 0 -> 1 + Sim.Rng.int rng 2048
-          | 1 -> 1 + Sim.Rng.int rng 65536
-          | 2 -> 1 + Sim.Rng.int rng 2_000_000
-          | _ -> 1 + Sim.Rng.int rng 600_000_000
-        in
-        let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int delta) in
-        deadlines.(i) <- deadline;
-        handles.(i) <-
-          Some
-            (Aster.Timer_wheel.arm w ~deadline (fun () ->
-                 fired := (i, Sim.Clock.now ()) :: !fired;
-                 if List.length !fired >= !expected then
-                   ignore (Ostd.Wait_queue.wake_all done_wq : int)))
-      done;
-      for i = 0 to n - 1 do
-        if Sim.Rng.int rng 3 = 0 then begin
-          (match handles.(i) with Some tm -> Aster.Timer_wheel.cancel w tm | None -> ());
-          cancelled.(i) <- true
-        end
-      done;
-      expected := Array.to_list cancelled |> List.filter not |> List.length;
-      t_armed := Sim.Clock.now ();
-      Ostd.Wait_queue.sleep_until done_wq (fun () -> List.length !fired >= !expected);
-      0);
-  Apps.Runner.run ();
-  let got = List.rev !fired in
-  (* Oracle: a naive sorted list fires live timers in (deadline, arm
-     order); cancelled ones never fire. Deadlines the arming loop
-     already overran clamp to its end (nothing fires in the past). *)
-  let expect =
-    List.init n (fun i -> i)
-    |> List.filter (fun i -> not cancelled.(i))
-    |> List.map (fun i -> (deadlines.(i), i))
-    |> List.sort compare
-  in
-  check_int "every live timer fired exactly once" (List.length expect) (List.length got);
-  let exact = ref 0 and unclamped = ref 0 in
-  List.iter2
-    (fun (d, i) (gi, at) ->
-      check_int "fired in (deadline, arm-order)" i gi;
-      if Int64.compare d !t_armed >= 0 then begin
-        incr unclamped;
-        if Int64.equal at d then incr exact
-      end;
-      let eff = if Int64.compare d !t_armed < 0 then !t_armed else d in
-      let lag = Int64.sub at eff in
-      (* Never early; never anywhere near a tick (2048 cycles) late.
-         The residual lag is event-collision overhead — a sched_pick
-         charge or a lazily-cancelled timer's spurious wakeup landing
-         within ~100 cycles before the deadline — not tick rounding. *)
-      check "never early, lag well under a tick" true
-        (Int64.compare lag 0L >= 0 && Int64.compare lag 512L < 0))
-    expect got;
-  (* The strong exactness claim: away from collisions, callbacks run on
-     the precise deadline cycle (timers remember exact deadlines; slots
-     only place). *)
-  check "dominant majority fire on the exact cycle" true (!exact * 4 >= !unclamped * 3)
-
-let wheel_edge_cases () =
-  ignore (boot ());
-  let w = Aster.Timer_wheel.the () in
-  let t0 = Sim.Clock.now () in
-  let fired_zero = ref (-1L) and fired_past = ref (-1L) in
-  ignore (Aster.Timer_wheel.arm_after w ~cycles:0 (fun () -> fired_zero := Sim.Clock.now ()));
-  check "zero-delay timer never fires inside arm()" true (Int64.equal !fired_zero (-1L));
-  ignore
-    (Aster.Timer_wheel.arm w ~deadline:(Int64.sub t0 5000L) (fun () ->
-         fired_past := Sim.Clock.now ()));
-  check "already-expired timer never fires inside arm()" true (Int64.equal !fired_past (-1L));
-  Aster.Kernel.run ();
-  check "zero-delay timer fired" true (Int64.compare !fired_zero 0L > 0);
-  check "already-expired timer fired" true (Int64.compare !fired_past 0L > 0);
-  check "both fired promptly, clamped to now" true
-    (Sim.Clock.to_us (Int64.sub !fired_zero t0) < 1.0
-    && Sim.Clock.to_us (Int64.sub !fired_past t0) < 1.0)
 
 (* --- Timeout paths: exact virtual deadline, no busy loop --- *)
 
@@ -144,8 +42,9 @@ let epoll_timeout_exact () =
       0);
   Apps.Runner.run ();
   check_int "timed-out epoll_wait reports 0 fds" 0 !ret;
-  (* The wheel fires at the exact deadline; only the sub-µs wake +
-     syscall-exit overhead sits between it and the caller's clock. *)
+  (* The deadline event fires at the exact deadline; only the sub-µs
+     wake + syscall-exit overhead sits between it and the caller's
+     clock. *)
   check "returns at the virtual deadline" true (!dt >= 3000.0 && !dt < 3001.0)
 
 let poll_timeout_exact_no_spin () =
@@ -571,13 +470,6 @@ let churn_determinism () =
 let () =
   Alcotest.run "epoll"
     [
-      ( "wheel",
-        [
-          Alcotest.test_case "oracle_seed42" `Quick (wheel_oracle 42L);
-          Alcotest.test_case "oracle_seed7" `Quick (wheel_oracle 7L);
-          Alcotest.test_case "oracle_seed1234" `Quick (wheel_oracle 1234L);
-          Alcotest.test_case "edge_cases" `Quick wheel_edge_cases;
-        ] );
       ( "timeout",
         [
           Alcotest.test_case "epoll_exact_deadline" `Quick epoll_timeout_exact;

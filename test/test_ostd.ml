@@ -48,14 +48,47 @@ let test_wait_queue_wake () =
 
 let test_sleep_timeout () =
   fresh ();
-  let woken = ref None in
+  (* (a) Woken before the deadline: the condition holds, and the one
+     deadline event the wait armed is gone again. *)
+  let wq = Ostd.Wait_queue.create () in
+  let flag = ref false in
+  let woken = ref None and pending_before = ref (-1) and pending_after = ref (-2) in
   ignore
-    (Ostd.Task.spawn (fun () ->
-         let wq = Ostd.Wait_queue.create () in
-         woken := Some (Ostd.Wait_queue.sleep_timeout wq ~cycles:5000)));
+    (Ostd.Task.spawn ~name:"sleeper" (fun () ->
+         pending_before := Sim.Events.pending ();
+         let deadline = Int64.add (Sim.Clock.now ()) 1_000_000L in
+         woken := Some (Ostd.Wait_queue.sleep_until_deadline wq ~deadline (fun () -> !flag));
+         pending_after := Sim.Events.pending ()));
+  ignore
+    (Ostd.Task.spawn ~name:"waker" (fun () ->
+         flag := true;
+         ignore (Ostd.Wait_queue.wake_all wq : int)));
   Ostd.Task.run ();
-  check "timed out" true (!woken = Some false);
-  check "clock advanced past timeout" true (Sim.Clock.now () >= 5000L)
+  check "woken before the deadline returns true" true (!woken = Some true);
+  check_int "deadline event cancelled" !pending_before !pending_after;
+  (* (b) Nobody wakes it: still asleep one cycle before the deadline,
+     woken by the deadline event on exactly the deadline cycle. *)
+  let wq = Ostd.Wait_queue.create () in
+  let deadline = ref 0L and timed_out = ref None in
+  let asleep_before = ref (-1) and asleep_at = ref (-1) in
+  ignore
+    (Ostd.Task.spawn ~name:"sleeper" (fun () ->
+         deadline := Int64.add (Sim.Clock.now ()) 5000L;
+         timed_out := Some (Ostd.Wait_queue.sleep_until_deadline wq ~deadline:!deadline (fun () -> false))));
+  ignore
+    (Ostd.Task.spawn ~name:"observer" (fun () ->
+         (* Scheduled after the sleeper armed its timer, so on the
+            deadline cycle these run after it. *)
+         ignore
+           (Sim.Events.schedule_at (Int64.pred !deadline) (fun () ->
+                asleep_before := Ostd.Wait_queue.waiters wq));
+         ignore
+           (Sim.Events.schedule_at !deadline (fun () -> asleep_at := Ostd.Wait_queue.waiters wq))));
+  Ostd.Task.run ();
+  check "deadline passing returns false" true (!timed_out = Some false);
+  check_int "asleep one cycle before the deadline" 1 !asleep_before;
+  check_int "woken on the deadline cycle" 0 !asleep_at;
+  check "clock reached the deadline" true (Sim.Clock.now () >= !deadline)
 
 let test_task_sleep_advances_clock () =
   fresh ();

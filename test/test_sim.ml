@@ -81,6 +81,81 @@ let test_events_cascade () =
   ignore (Sim.Events.run_next ());
   Alcotest.(check (list string)) "cascade" [ "a"; "b" ] (List.rev !log)
 
+(* --- The event heap against a naive sorted-list oracle ---
+
+   Every timed wait in the kernel is one heap entry (bio deadlines, TCP
+   delayed-ACK/RTO, epoll_wait and poll timeouts), so the heap is the
+   one timer mechanism to check. Mixed magnitudes from sub-µs to ~200 ms
+   out; a third of the entries are cancelled; each arm charges a
+   timer-programming cost, so the arming loop itself overruns the
+   shortest deadlines before anything can fire. *)
+let test_events_oracle seed () =
+  Sim.Clock.reset ();
+  Sim.Events.clear ();
+  Sim.Clock.advance_to 1_000_000L;
+  let t0 = Sim.Clock.now () in
+  let rng = Sim.Rng.create seed in
+  let n = 200 in
+  let fired = ref [] in
+  let deadlines = Array.make n 0L in
+  let cancelled = Array.make n false in
+  let record i () = fired := (i, Sim.Clock.now ()) :: !fired in
+  (* Entries 0 and 1: a zero-delay and an already-expired deadline. *)
+  deadlines.(0) <- t0;
+  ignore (Sim.Events.schedule_after 0 (record 0));
+  deadlines.(1) <- Int64.sub t0 5000L;
+  ignore (Sim.Events.schedule_at deadlines.(1) (record 1));
+  check "zero-delay and expired deadlines never fire inside the arming call" true (!fired = []);
+  let handles =
+    Array.init n (fun i ->
+        if i < 2 then None
+        else begin
+          Sim.Clock.charge 300;
+          let delta =
+            match Sim.Rng.int rng 4 with
+            | 0 -> 1 + Sim.Rng.int rng 2048
+            | 1 -> 1 + Sim.Rng.int rng 65536
+            | 2 -> 1 + Sim.Rng.int rng 2_000_000
+            | _ -> 1 + Sim.Rng.int rng 600_000_000
+          in
+          deadlines.(i) <- Int64.add (Sim.Clock.now ()) (Int64.of_int delta);
+          Some (Sim.Events.schedule_at deadlines.(i) (record i))
+        end)
+  in
+  Array.iteri
+    (fun i h ->
+      match h with
+      | Some h when Sim.Rng.int rng 3 = 0 ->
+        Sim.Events.cancel h;
+        cancelled.(i) <- true
+      | _ -> ())
+    handles;
+  check "nothing fires inside arm or cancel" true (!fired = []);
+  let t_armed = Sim.Clock.now () in
+  while Sim.Events.run_next () do
+    ()
+  done;
+  let got = List.rev !fired in
+  (* Oracle: live entries fire in (deadline, arm order); cancelled ones
+     never fire; deadlines the arming loop overran clamp to its end. *)
+  let expect =
+    List.init n (fun i -> i)
+    |> List.filter (fun i -> not cancelled.(i))
+    |> List.map (fun i -> (deadlines.(i), i))
+    |> List.sort compare
+  in
+  check_int "every live entry fired exactly once" (List.length expect) (List.length got);
+  List.iter2
+    (fun (d, i) (gi, at) ->
+      check_int "fired in (deadline, arm order)" i gi;
+      let eff = if Int64.compare d t_armed < 0 then t_armed else d in
+      let lag = Int64.sub at eff in
+      check "never early" true (Int64.compare lag 0L >= 0);
+      (* The heap keeps exact deadlines, so the lag bound is zero. *)
+      check "no lag: fires on the exact (clamped) deadline cycle" true (Int64.equal lag 0L))
+    expect got;
+  check_int "nothing left pending" 0 (Sim.Events.pending ())
+
 let test_stats () =
   Sim.Stats.reset ();
   Sim.Stats.incr "x";
@@ -234,6 +309,9 @@ let () =
           Alcotest.test_case "cancel" `Quick test_events_cancel;
           Alcotest.test_case "run_due" `Quick test_events_run_due;
           Alcotest.test_case "cascade" `Quick test_events_cascade;
+          Alcotest.test_case "oracle_seed42" `Quick (test_events_oracle 42L);
+          Alcotest.test_case "oracle_seed7" `Quick (test_events_oracle 7L);
+          Alcotest.test_case "oracle_seed1234" `Quick (test_events_oracle 1234L);
         ] );
       ( "stats",
         [
