@@ -81,6 +81,26 @@ let test_events_cascade () =
   ignore (Sim.Events.run_next ());
   Alcotest.(check (list string)) "cascade" [ "a"; "b" ] (List.rev !log)
 
+let test_events_edge_cases () =
+  (* Zero-delay and already-expired deadlines: never run inside the
+     arming call, then run at the current instant (clamped, not in the
+     past). *)
+  Sim.Clock.reset ();
+  Sim.Events.clear ();
+  Sim.Clock.advance_to 1_000_000L;
+  let t0 = Sim.Clock.now () in
+  let fired_zero = ref (-1L) and fired_past = ref (-1L) in
+  ignore (Sim.Events.schedule_after 0 (fun () -> fired_zero := Sim.Clock.now ()));
+  check "zero-delay entry never fires inside schedule_after" true (Int64.equal !fired_zero (-1L));
+  ignore
+    (Sim.Events.schedule_at (Int64.sub t0 5000L) (fun () -> fired_past := Sim.Clock.now ()));
+  check "expired entry never fires inside schedule_at" true (Int64.equal !fired_past (-1L));
+  while Sim.Events.run_next () do
+    ()
+  done;
+  check "zero-delay entry fired at now" true (Int64.equal !fired_zero t0);
+  check "expired entry fired at now, not in the past" true (Int64.equal !fired_past t0)
+
 (* --- The event heap against a naive sorted-list oracle ---
 
    Every timed wait in the kernel is one heap entry (bio deadlines, TCP
@@ -312,6 +332,7 @@ let () =
           Alcotest.test_case "oracle_seed42" `Quick (test_events_oracle 42L);
           Alcotest.test_case "oracle_seed7" `Quick (test_events_oracle 7L);
           Alcotest.test_case "oracle_seed1234" `Quick (test_events_oracle 1234L);
+          Alcotest.test_case "edge_cases" `Quick test_events_edge_cases;
         ] );
       ( "stats",
         [
