@@ -22,10 +22,18 @@ let enter ~nr =
   Sim.Trace.emit Sim.Trace.Syscall "enter" (fun () ->
       Printf.sprintf "nr=%d name=%s" nr (Syscall_nr.name nr))
 
+let all_hist = Sim.Hist.site "syscall"
+
+(* One site per nr, so an exit builds no "syscall.<name>" string and
+   hashes nothing. *)
+let nr_hists =
+  Array.init Syscall_nr.table_size (fun nr -> Sim.Hist.site ("syscall." ^ Syscall_nr.name nr))
+
 let exit_ ~nr ~ret ~cycles =
   let us = Sim.Clock.to_us cycles in
-  Sim.Hist.observe "syscall" us;
-  Sim.Hist.observe ("syscall." ^ Syscall_nr.name nr) us;
+  Sim.Hist.observe_site all_hist us;
+  if nr >= 0 && nr < Syscall_nr.table_size then Sim.Hist.observe_site nr_hists.(nr) us
+  else Sim.Hist.observe ("syscall." ^ Syscall_nr.name nr) us;
   Sim.Trace.emit Sim.Trace.Syscall "exit" (fun () ->
       let result =
         if Int64.compare ret 0L < 0 then

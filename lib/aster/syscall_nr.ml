@@ -158,17 +158,20 @@ let registered = List.sort compare (List.map fst named @ stubbed)
 
 let registered_count = List.length registered
 
-let name n =
-  match List.assoc_opt n named with Some s -> s | None -> Printf.sprintf "sys_%d" n
+(* Name and kprof scope label per nr, built once so the dispatch hot
+   path does an array load instead of an assoc-list walk or an
+   allocation. Numbers past the table still get a name, just slowly. *)
+let table_size = 1 + List.fold_left max 0 registered
 
-(* kprof scope label per syscall nr, memoized so the dispatch hot path
-   never allocates. *)
-let scope_names : (int, string) Hashtbl.t = Hashtbl.create 128
+let fallback_name n = Printf.sprintf "sys_%d" n
 
-let scope_name n =
-  match Hashtbl.find_opt scope_names n with
-  | Some s -> s
-  | None ->
-    let s = "syscall." ^ name n in
-    Hashtbl.add scope_names n s;
-    s
+let names =
+  let a = Array.init table_size fallback_name in
+  List.iter (fun (n, s) -> a.(n) <- s) named;
+  a
+
+let scope_names = Array.map (fun s -> "syscall." ^ s) names
+
+let name n = if n >= 0 && n < table_size then names.(n) else fallback_name n
+
+let scope_name n = if n >= 0 && n < table_size then scope_names.(n) else "syscall." ^ name n

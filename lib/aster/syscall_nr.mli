@@ -120,11 +120,16 @@ val probe_read : int
 (** bpf(2)-lite: read a loaded program's rendered map contents. *)
 
 val name : int -> string
-(** Symbolic name for a registered number; "sys_<n>" otherwise. *)
+(** Symbolic name for a registered number; "sys_<n>" otherwise. An
+    array load for every number in the ABI surface. *)
 
 val scope_name : int -> string
-(** Memoized kprof scope label, ["syscall.<name>"]; the dispatch hot
-    path never allocates. *)
+(** kprof scope label, ["syscall.<name>"], precomputed for every number
+    in the ABI surface so the dispatch hot path never allocates. *)
+
+val table_size : int
+(** Numbers in [\[0, table_size)] have precomputed names; per-nr caches
+    (such as strace's histograms) index arrays of this size. *)
 
 val registered : int list
 (** Every syscall number in the advertised ABI surface. *)

@@ -1214,13 +1214,32 @@ let sys_time proc args =
     | Error e -> err e
   end
 
+(* Linux's MAX_RW_COUNT: INT_MAX rounded down to a page. *)
+let max_rw_count = 0x7fff_f000
+
+(* The count is a size_t clamped to MAX_RW_COUNT, so a negative count is
+   a huge one, not a host error. Bytes are drawn from one stream and
+   copied a page-aligned chunk at a time: no host buffer is sized from
+   the guest's count, and a fault returns the bytes copied before it
+   (EFAULT if none were). *)
 let sys_getrandom proc args =
-  let len = int_arg args 1 in
+  let len =
+    if Int64.unsigned_compare args.(1) (Int64.of_int max_rw_count) > 0 then max_rw_count
+    else int_arg args 1
+  in
   let rng = Sim.Rng.create (Sim.Clock.now ()) in
-  let b = Bytes.init len (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
-  match user_write proc ~vaddr:(int_arg args 0) b with
-  | Ok () -> ok len
-  | Error e -> err e
+  let page = Ostd.Vmspace.page_size in
+  let rec fill copied =
+    if copied = len then ok len
+    else
+      let vaddr = int_arg args 0 + copied in
+      let n = min (len - copied) (page - (vaddr land (page - 1))) in
+      let b = Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
+      match user_write proc ~vaddr b with
+      | Ok () -> fill (copied + n)
+      | Error e -> if copied > 0 then ok copied else err e
+  in
+  fill 0
 
 (* --- Readiness syscalls: poll(2) + the epoll family ---
 
@@ -1619,7 +1638,11 @@ let dispatch proc nr args =
      args.(0..5) safely no matter what user space passed. *)
   let args =
     if Array.length args >= 6 then args
-    else Array.init 6 (fun i -> if i < Array.length args then args.(i) else 0L)
+    else begin
+      let padded = Array.make 6 0L in
+      Array.blit args 0 padded 0 (Array.length args);
+      padded
+    end
   in
   match Hashtbl.find_opt handlers nr with
   | Some h -> (

@@ -35,6 +35,10 @@ let wake_all wq =
   !n
 
 let sleep_until_deadline wq ~deadline cond =
+  (* A user-supplied timeout can put the deadline past the event
+     queue's horizon (max_int cycles, decades of virtual time); such a
+     deadline is never reached, so saturate it there. *)
+  let deadline = Int64.min deadline (Int64.of_int max_int) in
   cond ()
   || Int64.compare (Sim.Clock.now ()) deadline < 0
      &&

@@ -1,123 +1,112 @@
-type event = { time : int64; seq : int; mutable cancelled : bool; run : unit -> unit }
+(* An indexed binary min-heap ordered by (time, seq): seq breaks ties
+   so that events scheduled earlier fire earlier, keeping runs
+   deterministic. Each queued event records its heap slot, so [cancel]
+   removes it at once instead of leaving a tombstone; the heap holds
+   exactly the live events. [slot = -1] marks an event that has fired,
+   was cancelled or was dropped by [clear]. *)
+
+type event = { time : int; seq : int; mutable slot : int; run : unit -> unit }
 
 type handle = event
 
-module Heap = struct
-  (* Binary min-heap ordered by (time, seq): seq breaks ties so that
-     events scheduled earlier fire earlier, keeping runs deterministic. *)
-  type t = { mutable arr : event array; mutable len : int }
+let dummy = { time = 0; seq = 0; slot = -1; run = ignore }
 
-  let dummy = { time = 0L; seq = 0; cancelled = true; run = ignore }
+let arr = ref (Array.make 64 dummy)
 
-  let create () = { arr = Array.make 64 dummy; len = 0 }
-
-  let less a b =
-    let c = Int64.compare a.time b.time in
-    if c <> 0 then c < 0 else a.seq < b.seq
-
-  let swap h i j =
-    let t = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- t
-
-  let push h e =
-    if h.len = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.len) dummy in
-      Array.blit h.arr 0 bigger 0 h.len;
-      h.arr <- bigger
-    end;
-    h.arr.(h.len) <- e;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && less h.arr.(!i) h.arr.((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-
-  let peek h = if h.len = 0 then None else Some h.arr.(0)
-end
-
-let heap = Heap.create ()
+let len = ref 0
 
 let seq = ref 0
 
-let live = ref 0
+let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+let place i e =
+  !arr.(i) <- e;
+  e.slot <- i
+
+(* Move [e] up from the hole at [i] until its parent is not larger. *)
+let rec sift_up i e =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let pe = !arr.(p) in
+    if less e pe then begin
+      place i pe;
+      sift_up p e
+    end
+    else place i e
+  end
+  else place i e
+
+(* Move [e] down from the hole at [i] until no child is smaller. *)
+let rec sift_down i e =
+  let l = (2 * i) + 1 in
+  if l >= !len then place i e
+  else begin
+    let r = l + 1 in
+    let c = if r < !len && less !arr.(r) !arr.(l) then r else l in
+    let ce = !arr.(c) in
+    if less ce e then begin
+      place i ce;
+      sift_down c e
+    end
+    else place i e
+  end
+
+(* Take the event at slot [i] out of the heap; the last event fills
+   the hole and moves whichever way restores the order. *)
+let remove_at i =
+  let e = !arr.(i) in
+  decr len;
+  let last = !arr.(!len) in
+  !arr.(!len) <- dummy;
+  e.slot <- -1;
+  if i < !len then
+    if i > 0 && less last !arr.((i - 1) / 2) then sift_up i last else sift_down i last;
+  e
 
 let clear () =
-  heap.Heap.len <- 0;
-  live := 0
+  for i = 0 to !len - 1 do
+    !arr.(i).slot <- -1;
+    !arr.(i) <- dummy
+  done;
+  len := 0
 
 let schedule_at time run =
+  if Int64.compare time 0L < 0 || Int64.compare time (Int64.of_int max_int) > 0 then
+    invalid_arg "Events.schedule_at: time outside [0, max_int]";
   incr seq;
-  let e = { time; seq = !seq; cancelled = false; run } in
-  Heap.push heap e;
-  incr live;
+  let e = { time = Int64.to_int time; seq = !seq; slot = -1; run } in
+  if !len = Array.length !arr then begin
+    let bigger = Array.make (2 * !len) dummy in
+    Array.blit !arr 0 bigger 0 !len;
+    arr := bigger
+  end;
+  incr len;
+  sift_up (!len - 1) e;
   e
 
 let schedule_after n run =
   if n < 0 then invalid_arg "Events.schedule_after: negative delay";
   schedule_at (Int64.add (Clock.now ()) (Int64.of_int n)) run
 
-let cancel e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
-    decr live
-  end
+let cancel e = if e.slot >= 0 then ignore (remove_at e.slot : event)
 
-let pending () = !live
-
-let pop_due () =
-  match Heap.peek heap with
-  | Some e when Int64.compare e.time (Clock.now ()) <= 0 -> Heap.pop heap
-  | Some _ | None -> None
+let pending () = !len
 
 let run_due () =
   let ran = ref false in
-  let continue = ref true in
-  while !continue do
-    match pop_due () with
-    | None -> continue := false
-    | Some e ->
-      if not e.cancelled then begin
-        decr live;
-        ran := true;
-        e.run ()
-      end
+  while !len > 0 && !arr.(0).time <= Int64.to_int (Clock.now ()) do
+    let e = remove_at 0 in
+    ran := true;
+    e.run ()
   done;
   !ran
 
-let rec run_next () =
-  match Heap.pop heap with
-  | None -> false
-  | Some e ->
-    if e.cancelled then run_next ()
-    else begin
-      decr live;
-      Clock.advance_to e.time;
-      e.run ();
-      ignore (run_due ());
-      true
-    end
+let run_next () =
+  if !len = 0 then false
+  else begin
+    let e = remove_at 0 in
+    Clock.advance_to (Int64.of_int e.time);
+    e.run ();
+    ignore (run_due ());
+    true
+  end

@@ -93,7 +93,13 @@ let percentile_exn t p =
 
 let table : (string, t) Hashtbl.t = Hashtbl.create 32
 
-let reset () = Hashtbl.reset table
+(* Bumped by [reset]; a [site] re-resolves its histogram when it sees a
+   new epoch, so cached handles never record into a dropped one. *)
+let epoch = ref 0
+
+let reset () =
+  Hashtbl.reset table;
+  incr epoch
 
 let named name =
   match Hashtbl.find_opt table name with
@@ -104,6 +110,19 @@ let named name =
     h
 
 let observe name v = record (named name) v
+
+type site = { sname : string; mutable seen : int; mutable h : t }
+
+let unresolved = create ()
+
+let site sname = { sname; seen = -1; h = unresolved }
+
+let observe_site s v =
+  if s.seen <> !epoch then begin
+    s.h <- named s.sname;
+    s.seen <- !epoch
+  end;
+  record s.h v
 
 let find name = Hashtbl.find_opt table name
 

@@ -29,6 +29,18 @@ val percentile_exn : t -> float -> float
 
 val reset : unit -> unit
 val observe : string -> float -> unit
+
+type site
+(** A named histogram resolved once per [reset] rather than hashed on
+    every sample: for hot paths that record under a fixed name. *)
+
+val site : string -> site
+(** Creates nothing; the histogram appears in the registry on the first
+    [observe_site], exactly as with [observe]. *)
+
+val observe_site : site -> float -> unit
+(** Same effect as [observe] on the site's name. *)
+
 val named : string -> t
 val find : string -> t option
 val all : unit -> (string * t) list

@@ -24,9 +24,14 @@
 type ctx = {
   cname : string;
   mutable stack : string list; (* innermost scope first *)
-  mutable key : string; (* cached folded key: cname;outer;...;inner *)
-  mutable cell : int64 ref; (* cached totals slot for [key] *)
+  mutable cell : int64 ref; (* totals slot of "cname;outer;...;inner", or [unkeyed] *)
 }
+
+(* Sentinel cell: the stack moved since the folded key was last built.
+   Pushes and pops only set it; [attribute] builds the key on the first
+   cycle charged under the new stack, so while kprof is disabled no key
+   is ever built. *)
+let unkeyed = ref 0L
 
 let totals : (string, int64 ref) Hashtbl.t = Hashtbl.create 256
 
@@ -46,8 +51,7 @@ let cell_of key =
     Hashtbl.add totals key r;
     r
 
-let make_ctx name =
-  { cname = name; stack = []; key = name; cell = cell_of name }
+let make_ctx name = { cname = name; stack = []; cell = unkeyed }
 
 let ctx_of name =
   match Hashtbl.find_opt ctxs name with
@@ -60,15 +64,16 @@ let ctx_of name =
 let current = ref (make_ctx idle_name)
 
 let rekey c =
-  (match c.stack with
-  | [] -> c.key <- c.cname
-  | st -> c.key <- c.cname ^ ";" ^ String.concat ";" (List.rev st));
-  c.cell <- cell_of c.key
+  let key =
+    match c.stack with [] -> c.cname | st -> c.cname ^ ";" ^ String.concat ";" (List.rev st)
+  in
+  c.cell <- cell_of key
 
 (* The Clock observer: one add per clock advancement. *)
 let attribute d =
-  let cell = !current.cell in
-  cell := Int64.add !cell d
+  let c = !current in
+  if c.cell == unkeyed then rekey c;
+  c.cell := Int64.add !(c.cell) d
 
 (* Drop all accumulated attribution and re-anchor conservation at the
    current virtual time. Called at boot (the clock rewinds to zero) so
@@ -121,11 +126,11 @@ let switch_idle () = current := ctx_of idle_name
 let scope name f =
   let c = !current in
   c.stack <- name :: c.stack;
-  rekey c;
+  c.cell <- unkeyed;
   Fun.protect
     ~finally:(fun () ->
       (match c.stack with _ :: rest -> c.stack <- rest | [] -> ());
-      rekey c)
+      c.cell <- unkeyed)
     f
 
 let current_label () = match !current.stack with s :: _ -> s | [] -> "user"

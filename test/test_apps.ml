@@ -206,6 +206,30 @@ let test_getrandom () =
   in
   check_int "exit" 0 code
 
+(* getrandom's count is a size_t clamped to MAX_RW_COUNT: a negative
+   count fills up to the first unmapped page and returns how much it
+   copied, and a call that copies nothing fails with EFAULT. *)
+let test_getrandom_bad_length () =
+  let page = Ostd.Vmspace.page_size in
+  let code =
+    run_user (fun c ->
+        (* mmap leaves an unmapped guard page after each mapping. *)
+        let buf = Apps.Libc.ualloc c page in
+        let getrandom addr len =
+          Apps.Libc.syscall c Aster.Syscall_nr.getrandom [| Int64.of_int addr; len; 0L |]
+        in
+        let neg = getrandom (buf + page - 100) (-1L) in
+        let huge = getrandom buf Int64.max_int in
+        let short = getrandom (buf + page - 10) 200L in
+        let unmapped = getrandom (buf + page) 16L in
+        check_int "negative count fills to the hole" 100 neg;
+        check_int "huge count fills to the hole" page huge;
+        check_int "short copy returns bytes copied" 10 short;
+        check_int "nothing copied is EFAULT" (-Aster.Errno.efault) unmapped;
+        0)
+  in
+  check_int "exit" 0 code
+
 (* --- Mini redis command engine --- *)
 
 let test_redis_protocol () =
@@ -545,6 +569,7 @@ let () =
           Alcotest.test_case "bad_sizes_einval" `Quick test_bad_sizes_einval;
           Alcotest.test_case "clock" `Quick test_clock_monotonic;
           Alcotest.test_case "getrandom" `Quick test_getrandom;
+          Alcotest.test_case "getrandom_bad_length" `Quick test_getrandom_bad_length;
         ] );
       ("redis", [ Alcotest.test_case "protocol" `Quick test_redis_protocol ]);
       ( "sqlite",

@@ -178,6 +178,24 @@ let burn_cpu c ~writes =
   ignore (Apps.Libc.fsync c fd);
   ignore (Apps.Libc.close c fd)
 
+(* Scope keys are built lazily, only while attribution is on: enabling
+   kprof in the middle of a run, from inside a task, must still give an
+   exactly conserved profile that names the syscalls made after it. *)
+let test_enable_mid_run_conserved () =
+  Sim.Prof.reset ();
+  let code =
+    run_user (fun c ->
+        burn_cpu c ~writes:50;
+        Sim.Prof.enable ();
+        burn_cpu c ~writes:50;
+        0)
+  in
+  check_int "exit" 0 code;
+  check "conserved" true (Sim.Prof.conserved ());
+  check "write attributed after the mid-run enable" true
+    (List.exists (fun (k, _) -> contains ~needle:"syscall.write" k) (Sim.Prof.folded ()));
+  Sim.Prof.reset ()
+
 let test_proc_stat_matches_getrusage () =
   let code =
     run_user (fun c ->
@@ -288,6 +306,7 @@ let () =
         ] );
       ( "abi",
         [
+          Alcotest.test_case "enable_mid_run_conserved" `Quick test_enable_mid_run_conserved;
           Alcotest.test_case "proc_stat_matches_getrusage" `Quick
             test_proc_stat_matches_getrusage;
           Alcotest.test_case "times_and_process_cputime" `Quick test_times_and_process_cputime;

@@ -88,7 +88,22 @@ let test_sleep_timeout () =
   check "deadline passing returns false" true (!timed_out = Some false);
   check_int "asleep one cycle before the deadline" 1 !asleep_before;
   check_int "woken on the deadline cycle" 0 !asleep_at;
-  check "clock reached the deadline" true (Sim.Clock.now () >= !deadline)
+  check "clock reached the deadline" true (Sim.Clock.now () >= !deadline);
+  (* (c) A deadline past the event queue's horizon (a huge user
+     timeout) saturates instead of being refused; a wake still ends the
+     sleep, and the saturated deadline event is cancelled. *)
+  let wq = Ostd.Wait_queue.create () in
+  let flag = ref false and woken = ref None in
+  ignore
+    (Ostd.Task.spawn ~name:"sleeper" (fun () ->
+         woken := Some (Ostd.Wait_queue.sleep_until_deadline wq ~deadline:Int64.max_int (fun () -> !flag))));
+  ignore
+    (Ostd.Task.spawn ~name:"waker" (fun () ->
+         flag := true;
+         ignore (Ostd.Wait_queue.wake_all wq : int)));
+  Ostd.Task.run ();
+  check "woken before a far-future deadline" true (!woken = Some true);
+  check_int "no deadline event left queued" 0 (Sim.Events.pending ())
 
 let test_task_sleep_advances_clock () =
   fresh ();

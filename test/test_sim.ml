@@ -108,7 +108,10 @@ let test_events_edge_cases () =
    one timer mechanism to check. Mixed magnitudes from sub-µs to ~200 ms
    out; a third of the entries are cancelled; each arm charges a
    timer-programming cost, so the arming loop itself overruns the
-   shortest deadlines before anything can fire. *)
+   shortest deadlines before anything can fire. While the queue drains,
+   a quarter of the callbacks cancel a random handle — live, already
+   fired or already cancelled — and after every firing [pending] must
+   equal the model's count of live entries. *)
 let test_events_oracle seed () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
@@ -119,45 +122,62 @@ let test_events_oracle seed () =
   let fired = ref [] in
   let deadlines = Array.make n 0L in
   let cancelled = Array.make n false in
-  let record i () = fired := (i, Sim.Clock.now ()) :: !fired in
+  let live = Array.make n true in
+  let handles = Array.make n None in
+  let live_count () = Array.fold_left (fun a l -> if l then a + 1 else a) 0 live in
+  let record i () =
+    fired := (i, Sim.Clock.now ()) :: !fired;
+    live.(i) <- false;
+    if Sim.Rng.int rng 4 = 0 then begin
+      let j = Sim.Rng.int rng n in
+      match handles.(j) with
+      | Some h ->
+        Sim.Events.cancel h;
+        if live.(j) then begin
+          live.(j) <- false;
+          cancelled.(j) <- true
+        end
+      | None -> ()
+    end;
+    check_int "pending equals the model's live count" (live_count ()) (Sim.Events.pending ())
+  in
   (* Entries 0 and 1: a zero-delay and an already-expired deadline. *)
   deadlines.(0) <- t0;
-  ignore (Sim.Events.schedule_after 0 (record 0));
+  handles.(0) <- Some (Sim.Events.schedule_after 0 (record 0));
   deadlines.(1) <- Int64.sub t0 5000L;
-  ignore (Sim.Events.schedule_at deadlines.(1) (record 1));
+  handles.(1) <- Some (Sim.Events.schedule_at deadlines.(1) (record 1));
   check "zero-delay and expired deadlines never fire inside the arming call" true (!fired = []);
-  let handles =
-    Array.init n (fun i ->
-        if i < 2 then None
-        else begin
-          Sim.Clock.charge 300;
-          let delta =
-            match Sim.Rng.int rng 4 with
-            | 0 -> 1 + Sim.Rng.int rng 2048
-            | 1 -> 1 + Sim.Rng.int rng 65536
-            | 2 -> 1 + Sim.Rng.int rng 2_000_000
-            | _ -> 1 + Sim.Rng.int rng 600_000_000
-          in
-          deadlines.(i) <- Int64.add (Sim.Clock.now ()) (Int64.of_int delta);
-          Some (Sim.Events.schedule_at deadlines.(i) (record i))
-        end)
-  in
+  for i = 2 to n - 1 do
+    Sim.Clock.charge 300;
+    let delta =
+      match Sim.Rng.int rng 4 with
+      | 0 -> 1 + Sim.Rng.int rng 2048
+      | 1 -> 1 + Sim.Rng.int rng 65536
+      | 2 -> 1 + Sim.Rng.int rng 2_000_000
+      | _ -> 1 + Sim.Rng.int rng 600_000_000
+    in
+    deadlines.(i) <- Int64.add (Sim.Clock.now ()) (Int64.of_int delta);
+    handles.(i) <- Some (Sim.Events.schedule_at deadlines.(i) (record i))
+  done;
   Array.iteri
     (fun i h ->
       match h with
-      | Some h when Sim.Rng.int rng 3 = 0 ->
+      | Some h when i >= 2 && Sim.Rng.int rng 3 = 0 ->
         Sim.Events.cancel h;
-        cancelled.(i) <- true
+        cancelled.(i) <- true;
+        live.(i) <- false
       | _ -> ())
     handles;
   check "nothing fires inside arm or cancel" true (!fired = []);
+  check_int "cancel is eager: pending counts live entries" (live_count ()) (Sim.Events.pending ());
   let t_armed = Sim.Clock.now () in
   while Sim.Events.run_next () do
     ()
   done;
   let got = List.rev !fired in
   (* Oracle: live entries fire in (deadline, arm order); cancelled ones
-     never fire; deadlines the arming loop overran clamp to its end. *)
+     never fire, whether cancelled before the run or by an earlier
+     callback; deadlines the arming loop overran clamp to its end. *)
   let expect =
     List.init n (fun i -> i)
     |> List.filter (fun i -> not cancelled.(i))
@@ -175,6 +195,79 @@ let test_events_oracle seed () =
       check "no lag: fires on the exact (clamped) deadline cycle" true (Int64.equal lag 0L))
     expect got;
   check_int "nothing left pending" 0 (Sim.Events.pending ())
+
+(* Cancel removes the entry at once: 20k far-future events, all but
+   three cancelled, leave exactly three queued, and those three fire in
+   (time, arm order). Cancelling twice, from inside the event's own
+   callback, or after it fired changes nothing. *)
+let test_events_cancel_is_eager () =
+  Sim.Clock.reset ();
+  Sim.Events.clear ();
+  let n = 20_000 in
+  let rng = Sim.Rng.create 99L in
+  let log = ref [] in
+  let self = ref None in
+  let times = Array.init n (fun _ -> Int64.of_int (1_000_000_000 + Sim.Rng.int rng 1000)) in
+  let keep = [ 17; 4242; 19_999 ] in
+  let handles =
+    Array.init n (fun i ->
+        Sim.Events.schedule_at times.(i) (fun () ->
+            log := i :: !log;
+            Option.iter Sim.Events.cancel !self))
+  in
+  check_int "all queued" n (Sim.Events.pending ());
+  Array.iteri (fun i h -> if not (List.mem i keep) then Sim.Events.cancel h) handles;
+  check_int "only the survivors stay queued" 3 (Sim.Events.pending ());
+  Sim.Events.cancel handles.(0);
+  check_int "double cancel is a no-op" 3 (Sim.Events.pending ());
+  let order = List.sort (fun a b -> compare (times.(a), a) (times.(b), b)) keep in
+  let first = List.hd order in
+  (* The first survivor cancels itself from inside its own callback. *)
+  self := Some handles.(first);
+  check "first survivor ran" true (Sim.Events.run_next ());
+  self := None;
+  check_int "self-cancel in the callback is a no-op" 2 (Sim.Events.pending ());
+  Sim.Events.cancel handles.(first);
+  check_int "cancelling a fired handle is a no-op" 2 (Sim.Events.pending ());
+  while Sim.Events.run_next () do
+    ()
+  done;
+  Alcotest.(check (list int)) "survivors fire in (time, seq) order" order (List.rev !log);
+  check_int "drained" 0 (Sim.Events.pending ())
+
+(* A handle from before [clear] is stale: cancelling it must not touch
+   the event that now occupies its old heap slot, nor the count. *)
+let test_events_stale_handle_after_clear () =
+  Sim.Clock.reset ();
+  Sim.Events.clear ();
+  let stale = Sim.Events.schedule_at 10L ignore in
+  Sim.Events.clear ();
+  let fired = ref false in
+  ignore (Sim.Events.schedule_at 20L (fun () -> fired := true));
+  Sim.Events.cancel stale;
+  check_int "stale cancel leaves the new event queued" 1 (Sim.Events.pending ());
+  while Sim.Events.run_next () do
+    ()
+  done;
+  check "the new event fired" true !fired;
+  Sim.Events.cancel stale;
+  check_int "nothing pending after the run" 0 (Sim.Events.pending ())
+
+(* Keys are unboxed ints: a time outside [0, max_int] is refused rather
+   than wrapped. *)
+let test_events_schedule_at_range () =
+  Sim.Events.clear ();
+  let refused = Invalid_argument "Events.schedule_at: time outside [0, max_int]" in
+  Alcotest.check_raises "negative time" refused (fun () ->
+      ignore (Sim.Events.schedule_at (-1L) ignore));
+  Alcotest.check_raises "past max_int" refused (fun () ->
+      ignore (Sim.Events.schedule_at (Int64.succ (Int64.of_int max_int)) ignore));
+  Alcotest.check_raises "Int64.max_int" refused (fun () ->
+      ignore (Sim.Events.schedule_at Int64.max_int ignore));
+  let h = Sim.Events.schedule_at (Int64.of_int max_int) ignore in
+  check_int "max_int itself is accepted" 1 (Sim.Events.pending ());
+  Sim.Events.cancel h;
+  check_int "and cancelled" 0 (Sim.Events.pending ())
 
 let test_stats () =
   Sim.Stats.reset ();
@@ -333,6 +426,9 @@ let () =
           Alcotest.test_case "oracle_seed7" `Quick (test_events_oracle 7L);
           Alcotest.test_case "oracle_seed1234" `Quick (test_events_oracle 1234L);
           Alcotest.test_case "edge_cases" `Quick test_events_edge_cases;
+          Alcotest.test_case "cancel_is_eager" `Quick test_events_cancel_is_eager;
+          Alcotest.test_case "stale_handle_after_clear" `Quick test_events_stale_handle_after_clear;
+          Alcotest.test_case "schedule_at_range" `Quick test_events_schedule_at_range;
         ] );
       ( "stats",
         [

@@ -126,6 +126,41 @@ let test_hist_registry () =
   Sim.Hist.reset ();
   check "reset empties the registry" true (Sim.Hist.all () = [])
 
+(* Strace records each exit under a histogram site resolved once per
+   registry epoch: the syscall.<name> counts must follow Sim.Hist.reset
+   and a reboot rather than land in a dropped histogram, and the
+   per-nr counts must always sum to the "syscall" total. *)
+let run_getpids ?(reset_after = 0) n =
+  ignore (Aster.Kernel.boot ~profile:Sim.Profile.asterinas ());
+  ignore
+    (Aster.Process.spawn_kernel_style ~name:"hist-sites" (fun uapi ->
+         let c = Apps.Libc.make uapi in
+         for i = 1 to n do
+           ignore (Apps.Libc.getpid c);
+           if i = reset_after then Sim.Hist.reset ()
+         done;
+         0));
+  Aster.Kernel.run ()
+
+let hist_count name = match Sim.Hist.find name with Some h -> Sim.Hist.count h | None -> 0
+
+let check_per_nr_sum () =
+  let per_nr = List.fold_left (fun a (_, h) -> a + Sim.Hist.count h) 0 (Sim.Hist.by_prefix "syscall.") in
+  check_int "per-nr counts sum to the syscall total" (hist_count "syscall") per_nr
+
+let test_syscall_hists_across_resets () =
+  run_getpids 5;
+  check_int "first run" 5 (hist_count "syscall.getpid");
+  check_per_nr_sum ();
+  run_getpids 3;
+  check_int "after a reboot only the second run counts" 3 (hist_count "syscall.getpid");
+  check_per_nr_sum ();
+  run_getpids ~reset_after:2 6;
+  check_int "a mid-run reset keeps only the later calls" 4 (hist_count "syscall.getpid");
+  check_per_nr_sum ();
+  Sim.Hist.reset ();
+  check_int "reset empties it" 0 (hist_count "syscall.getpid")
+
 (* --- Determinism: same-seed chaos runs yield byte-identical traces --- *)
 
 let chaos_trace seed =
@@ -221,6 +256,7 @@ let () =
           Alcotest.test_case "two_point_exact" `Quick test_hist_two_point_exact;
           Alcotest.test_case "uniform_bounded_error" `Quick test_hist_uniform_bounded_error;
           Alcotest.test_case "registry" `Quick test_hist_registry;
+          Alcotest.test_case "syscall_hists_across_resets" `Quick test_syscall_hists_across_resets;
         ] );
       ( "determinism",
         [
