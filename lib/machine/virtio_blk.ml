@@ -15,6 +15,29 @@ let desc_size = 48
 
 let max_chain = 128
 
+(* Storage is page-chunked, like {!Phys} frames: [chunk_sectors]
+   sectors per 4 KiB chunk, indexed by [sector / chunk_sectors]. A chunk
+   is allocated on first write; an absent one reads as zeroes without
+   allocating. The 8-bit per-chunk cached mask below relies on
+   [chunk_sectors = 8]. *)
+let chunk_size = Phys.page_size
+
+let chunk_sectors = chunk_size / sector_size
+
+let () = assert (chunk_sectors = 8)
+
+let chunk_of s = s / chunk_sectors
+
+let offset_of s = (s mod chunk_sectors) * sector_size
+
+(* The shared "absent chunk" sentinel (compared with [==]) and the page
+   that absent chunks read as. Neither is ever written. *)
+let absent = Bytes.create 0
+
+let zeroes = Bytes.make chunk_size '\000'
+
+let nchunks ~capacity_sectors = (capacity_sectors + chunk_sectors - 1) / chunk_sectors
+
 (* The persistent disk image, distinct from everything volatile on the
    device (write cache, ring state). It is the only thing that survives
    a power cut, and can be carried across [Board.reset] into a fresh
@@ -22,24 +45,62 @@ let max_chain = 128
    durable — every increment is an enumerable crash boundary. *)
 type disk = {
   dcap : int;
-  sectors : (int, Bytes.t) Hashtbl.t; (* sector -> 512 bytes, sparse *)
+  chunks : Bytes.t array; (* [absent] until first written *)
   mutable persists : int;
 }
 
 let create_disk ~capacity_sectors =
-  { dcap = capacity_sectors; sectors = Hashtbl.create 4096; persists = 0 }
+  {
+    dcap = capacity_sectors;
+    chunks = Array.make (nchunks ~capacity_sectors) absent;
+    persists = 0;
+  }
 
 let clone_disk d =
-  let sectors = Hashtbl.create (Hashtbl.length d.sectors) in
-  Hashtbl.iter (fun s b -> Hashtbl.add sectors s (Bytes.copy b)) d.sectors;
-  { dcap = d.dcap; sectors; persists = d.persists }
+  {
+    dcap = d.dcap;
+    chunks = Array.map (fun b -> if b == absent then absent else Bytes.copy b) d.chunks;
+    persists = d.persists;
+  }
 
+let image_chunks d = Array.fold_left (fun n b -> if b == absent then n else n + 1) 0 d.chunks
+
+(* What an image chunk reads as, without allocating. *)
+let image_src d c =
+  let b = d.chunks.(c) in
+  if b == absent then zeroes else b
+
+(* The image chunk for writing, allocated on first write. *)
+let image_dst d c =
+  let b = d.chunks.(c) in
+  if b != absent then b
+  else begin
+    let b = Bytes.make chunk_size '\000' in
+    d.chunks.(c) <- b;
+    b
+  end
+
+(* The volatile write cache has the same shape as the image. Bit j of
+   [cmask.[c]] says sector [c * 8 + j] is cached in [cache.(c)]. A
+   chunk is live from its first cached write until the next flush or
+   power cut, which hands it to [pool]; new chunks come from the pool
+   first, so the device holds at most as many chunks as were ever live
+   at once. (4 KiB chunks are allocated straight on the major heap:
+   keeping them alive forever, or freeing them to the GC, both cost
+   far more than the pool.) Every live chunk is listed exactly once in
+   [dirty.(0 .. ndirty-1)], which is what [flush_cache] sorts. *)
 type t = {
   dev_id : int;
   vector : int;
   capacity : int;
   disk : disk;
-  cache : (int, Bytes.t) Hashtbl.t; (* volatile write cache: sector -> bytes *)
+  cache : Bytes.t array; (* [absent] unless live *)
+  cmask : Bytes.t; (* per chunk: bitmask of cached sectors *)
+  dirty : int array; (* live chunk indices, unsorted *)
+  mutable ndirty : int;
+  pool : Bytes.t Stack.t; (* released chunks, reused first *)
+  hdr : Bytes.t; (* descriptor header scratch *)
+  fua_buf : Bytes.t; (* one FUA sector, DMA'd in before it persists *)
   queue : int Queue.t; (* pending descriptor (chain head) paddrs *)
   mutable busy : bool;
   mutable dead : bool; (* power has been cut; device is gone *)
@@ -65,18 +126,49 @@ let flushes t = t.flushes
 
 let fua_writes t = t.fua_writes
 
-let disk_sector d s =
-  match Hashtbl.find_opt d.sectors s with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make sector_size '\000' in
-    Hashtbl.add d.sectors s b;
-    b
+type cache_stats = { live_chunks : int; pooled_chunks : int }
 
-(* What a read observes: the write cache shadows the disk image —
-   the device's RAM is coherent even before a flush makes it durable. *)
-let sector_bytes t s =
-  match Hashtbl.find_opt t.cache s with Some b -> b | None -> disk_sector t.disk s
+let cache_stats t = { live_chunks = t.ndirty; pooled_chunks = Stack.length t.pool }
+
+let mask t c = Char.code (Bytes.unsafe_get t.cmask c)
+
+let set_mask t c m = Bytes.unsafe_set t.cmask c (Char.unsafe_chr m)
+
+let bit s = 1 lsl (s mod chunk_sectors)
+
+(* Drop [s] from the cache. Its chunk stays live (and listed) until the
+   next flush or power cut releases it. *)
+let uncache t s =
+  let c = chunk_of s in
+  set_mask t c (mask t c land lnot (bit s))
+
+(* The live cache chunk [c], taken from the pool (or created) and
+   listed as dirty on first use. *)
+let cache_chunk t c =
+  let b = t.cache.(c) in
+  if b != absent then b
+  else begin
+    let b = if Stack.is_empty t.pool then Bytes.create chunk_size else Stack.pop t.pool in
+    t.cache.(c) <- b;
+    t.dirty.(t.ndirty) <- c;
+    t.ndirty <- t.ndirty + 1;
+    b
+  end
+
+let release t c =
+  let b = t.cache.(c) in
+  if b != absent then begin
+    set_mask t c 0;
+    t.cache.(c) <- absent;
+    Stack.push b t.pool
+  end
+
+(* What a read of [s] observes, at [offset_of s]: the write cache
+   shadows the disk image — the device's RAM is coherent even before a
+   flush makes it durable. *)
+let read_src t s =
+  let c = chunk_of s in
+  if mask t c land bit s <> 0 then t.cache.(c) else image_src t.disk c
 
 (* Power cut: everything volatile is gone. The in-flight ring is
    dropped (no status writes, no interrupts — outstanding bios hit the
@@ -85,27 +177,28 @@ let sector_bytes t s =
    around the same disk image. *)
 let power_cut t =
   t.dead <- true;
-  Hashtbl.reset t.cache;
+  for k = 0 to t.ndirty - 1 do
+    release t t.dirty.(k)
+  done;
+  t.ndirty <- 0;
   Queue.clear t.queue;
   Sim.Stats.incr "virtio_blk.power_cut";
   Logs.debug (fun m ->
       m "virtio-blk: power cut after %d persisted sectors" t.disk.persists)
 
-(* Persist one cached sector to the disk image. Each call is a crash
-   boundary: the [blk.power_cut] trigger fires *before* the copy, so
-   crash point k means exactly k sectors hit stable storage. Returns
-   [false] when the power cut fired. *)
-let persist_sector t s =
+(* Persist sector [s], whose new contents sit in [src] at [src_off], to
+   the disk image. Each call is a crash boundary: the [blk.power_cut]
+   trigger fires *before* the copy, so crash point k means exactly k
+   sectors hit stable storage. Returns [false] when the power cut
+   fired. *)
+let persist_sector t s src src_off =
   if Sim.Fault.countdown "blk.power_cut" then begin
     power_cut t;
     false
   end
   else begin
-    (match Hashtbl.find_opt t.cache s with
-    | Some b ->
-      Bytes.blit b 0 (disk_sector t.disk s) 0 sector_size;
-      Hashtbl.remove t.cache s
-    | None -> ());
+    Bytes.blit src src_off (image_dst t.disk (chunk_of s)) (offset_of s) sector_size;
+    uncache t s;
     t.disk.persists <- t.disk.persists + 1;
     true
   end
@@ -114,12 +207,29 @@ let persist_sector t s =
    deterministic order is deliberate: it enumerates crash points
    stably for a given workload, and sorting (rather than insertion
    order) models the reordering freedom a real drive has between
-   barriers. *)
+   barriers. Sorting the live chunks and walking each one's mask in bit
+   order gives ascending sector order in O(d log d) for d live chunks;
+   each drained chunk goes back to the pool. *)
 let flush_cache t =
-  let dirty = Hashtbl.fold (fun s _ acc -> s :: acc) t.cache [] in
-  let dirty = List.sort compare dirty in
   t.flushes <- t.flushes + 1;
-  List.for_all (fun s -> persist_sector t s) dirty
+  let sorted = Array.sub t.dirty 0 t.ndirty in
+  Array.sort Int.compare sorted;
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length sorted do
+    let c = sorted.(!k) in
+    let b = t.cache.(c) in
+    let m = mask t c in
+    let j = ref 0 in
+    while !ok && !j < chunk_sectors do
+      if m land (1 lsl !j) <> 0 then
+        ok := persist_sector t ((c * chunk_sectors) + !j) b (!j * sector_size);
+      incr j
+    done;
+    release t c;
+    incr k
+  done;
+  t.ndirty <- 0;
+  !ok
 
 (* Out-of-band host access used by tests and mkfs-style tooling:
    writes go straight to the disk image (no crash boundaries counted),
@@ -128,17 +238,53 @@ let write_backing t ~sector data =
   let len = Bytes.length data in
   assert (len mod sector_size = 0);
   for i = 0 to (len / sector_size) - 1 do
-    Hashtbl.remove t.cache (sector + i);
-    Bytes.blit data (i * sector_size) (disk_sector t.disk (sector + i)) 0 sector_size
+    let s = sector + i in
+    uncache t s;
+    Bytes.blit data (i * sector_size) (image_dst t.disk (chunk_of s)) (offset_of s) sector_size
   done
 
 let read_backing t ~sector ~len =
   assert (len mod sector_size = 0);
   let out = Bytes.create len in
   for i = 0 to (len / sector_size) - 1 do
-    Bytes.blit (sector_bytes t (sector + i)) 0 out (i * sector_size) sector_size
+    let s = sector + i in
+    Bytes.blit (read_src t s) (offset_of s) out (i * sector_size) sector_size
   done;
   out
+
+(* Device-side data movement for one request. Both walk the range one
+   chunk-run at a time, so a 4 KiB block costs one DMA copy. *)
+let dma_read t ~sector ~nsect ~data_paddr =
+  let i = ref 0 in
+  while !i < nsect do
+    let s = sector + !i in
+    let src = read_src t s in
+    (* Extend the run while the next sector lies in the same chunk and
+       reads from the same source (cache or image). *)
+    let j = ref (!i + 1) in
+    while !j < nsect && (sector + !j) mod chunk_sectors <> 0 && read_src t (sector + !j) == src do
+      incr j
+    done;
+    Phys.write
+      ~paddr:(data_paddr + (!i * sector_size))
+      src ~off:(offset_of s)
+      ~len:((!j - !i) * sector_size);
+    i := !j
+  done
+
+let dma_write_cached t ~sector ~nsect ~data_paddr =
+  let i = ref 0 in
+  while !i < nsect do
+    let s = sector + !i in
+    let c = chunk_of s in
+    let first = s mod chunk_sectors in
+    let n = min (nsect - !i) (chunk_sectors - first) in
+    Phys.read
+      ~paddr:(data_paddr + (!i * sector_size))
+      (cache_chunk t c) ~off:(offset_of s) ~len:(n * sector_size);
+    set_mask t c (mask t c lor (((1 lsl n) - 1) lsl first));
+    i := !i + n
+  done
 
 let requests_completed t = t.completed
 
@@ -182,7 +328,7 @@ let rec raise_coalesced t =
 let execute_one t desc_paddr =
   if t.dead then false
   else begin
-    let hdr = Bytes.create 24 in
+    let hdr = t.hdr in
     match Iommu.access ~dev:t.dev_id ~paddr:desc_paddr ~len:desc_size with
     | Error e ->
       dma_fault t "descriptor" e;
@@ -229,12 +375,7 @@ let execute_one t desc_paddr =
             dma_fault t "data (read)" e;
             finish 1
           | Ok () ->
-            for i = 0 to nsect - 1 do
-              Phys.write
-                ~paddr:(data_paddr + (i * sector_size))
-                (sector_bytes t (sector + i))
-                ~off:0 ~len:sector_size
-            done;
+            dma_read t ~sector ~nsect ~data_paddr;
             finish 0)
         | 1 | 3 (* write: device reads from memory; 3 = FUA *) -> (
           match Iommu.access ~dev:t.dev_id ~paddr:data_paddr ~len with
@@ -242,24 +383,25 @@ let execute_one t desc_paddr =
             dma_fault t "data (write)" e;
             finish 1
           | Ok () ->
-            let ok = ref true in
-            for i = 0 to nsect - 1 do
-              if !ok then begin
-                let s = sector + i in
-                let buf =
-                  match Hashtbl.find_opt t.cache s with
-                  | Some b -> b
-                  | None ->
-                    let b = Bytes.create sector_size in
-                    Hashtbl.add t.cache s b;
-                    b
-                in
-                Phys.read ~paddr:(data_paddr + (i * sector_size)) buf ~off:0 ~len:sector_size;
-                if typ = 3 then ok := persist_sector t s
-              end
-            done;
-            if typ = 3 then t.fua_writes <- t.fua_writes + 1;
-            if !ok then finish 0 else false)
+            if typ = 1 then begin
+              dma_write_cached t ~sector ~nsect ~data_paddr;
+              finish 0
+            end
+            else begin
+              (* FUA: write-through, sector by sector, each one a crash
+                 boundary. The data bypasses the cache, and a cached
+                 older copy of the sector is dropped once it persists. *)
+              let ok = ref true and i = ref 0 in
+              while !ok && !i < nsect do
+                Phys.read
+                  ~paddr:(data_paddr + (!i * sector_size))
+                  t.fua_buf ~off:0 ~len:sector_size;
+                ok := persist_sector t (sector + !i) t.fua_buf 0;
+                incr i
+              done;
+              t.fua_writes <- t.fua_writes + 1;
+              if !ok then finish 0 else false
+            end)
         | _ -> finish 1
       end
   end
@@ -348,7 +490,13 @@ let create ?disk ~capacity_sectors ~mmio_base ~dev_id ~vector () =
       vector;
       capacity = capacity_sectors;
       disk;
-      cache = Hashtbl.create 256;
+      cache = Array.make (nchunks ~capacity_sectors) absent;
+      cmask = Bytes.make (nchunks ~capacity_sectors) '\000';
+      dirty = Array.make (nchunks ~capacity_sectors) 0;
+      ndirty = 0;
+      pool = Stack.create ();
+      hdr = Bytes.create 24;
+      fua_buf = Bytes.create sector_size;
       queue = Queue.create ();
       busy = false;
       dead = false;

@@ -37,6 +37,11 @@ val create_disk : capacity_sectors:int -> disk
 val clone_disk : disk -> disk
 (** Deep copy, for running the same recovery twice deterministically. *)
 
+val image_chunks : disk -> int
+(** 4 KiB chunks the image has allocated. The image is stored in
+    page-sized chunks of 8 sectors, allocated on first write; an
+    unwritten chunk reads as zeroes and costs nothing. *)
+
 val create :
   ?disk:disk -> capacity_sectors:int -> mmio_base:int -> dev_id:int -> vector:int -> unit -> t
 (** Registers the MMIO window, backing store, and {!Bus} entry. When
@@ -54,6 +59,17 @@ val is_dead : t -> bool
 
 val flushes : t -> int
 val fua_writes : t -> int
+
+type cache_stats = {
+  live_chunks : int;  (** chunks written through the cache since the last flush *)
+  pooled_chunks : int;  (** released chunks kept for reuse *)
+}
+
+val cache_stats : t -> cache_stats
+(** Footprint of the volatile write cache, in 4 KiB chunks. A flush or
+    power cut returns every live chunk to the pool, and new chunks come
+    from the pool first, so [live_chunks + pooled_chunks] is the peak
+    number of chunks ever live at once. *)
 
 val sector_size : int
 

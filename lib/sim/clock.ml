@@ -1,45 +1,55 @@
 let cycles_per_us = 3000
 
-let current = ref 0L
+(* Unboxed: [charge] runs on every modelled cost, and an [int64] ref
+   would box (and write-barrier) a fresh value each time. [now] boxes
+   only on read. *)
+let current = ref 0
 
-let reset () = current := 0L
+let reset () = current := 0
 
-let now () = !current
+let now () = Int64.of_int !current
 
 (* kprof taps the clock here: every way virtual time can move forward —
    an explicit charge or an event-driven jump — reports its delta to the
    observer, so an attribution profiler sees exactly the cycles that
-   elapse and nothing else (the conservation invariant). The default
-   observer is a no-op; profiling never charges cycles itself. *)
-let on_advance : (int64 -> unit) ref = ref (fun _ -> ())
+   elapse and nothing else (the conservation invariant). Profiling
+   never charges cycles itself. An empty slot costs one load per
+   advance. *)
+let on_advance : (int64 -> unit) option ref = ref None
 
-let set_on_advance f = on_advance := f
+let set_on_advance f = on_advance := Some f
 
-let clear_on_advance () = on_advance := (fun _ -> ())
+let clear_on_advance () = on_advance := None
 
 (* A second, independent observer slot so kspan can watch the clock
-   without stealing kprof's tap (and vice versa). Registered once at
-   module init by Span; the span plane gates itself internally. *)
-let on_advance2 : (int64 -> unit) ref = ref (fun _ -> ())
+   without stealing kprof's tap (and vice versa). Span fills it while
+   kspan is enabled. *)
+let on_advance2 : (int64 -> unit) option ref = ref None
 
-let set_on_advance2 f = on_advance2 := f
+let set_on_advance2 f = on_advance2 := Some f
+
+let clear_on_advance2 () = on_advance2 := None
+
+let observers () =
+  (match !on_advance with Some _ -> 1 | None -> 0)
+  + match !on_advance2 with Some _ -> 1 | None -> 0
+
+let advance d =
+  current := !current + d;
+  match (!on_advance, !on_advance2) with
+  | None, None -> ()
+  | o1, o2 -> (
+    let d = Int64.of_int d in
+    (match o1 with Some f -> f d | None -> ());
+    match o2 with Some f -> f d | None -> ())
 
 let charge n =
   if n < 0 then invalid_arg "Clock.charge: negative cost";
-  if n > 0 then begin
-    let d = Int64.of_int n in
-    current := Int64.add !current d;
-    !on_advance d;
-    !on_advance2 d
-  end
+  if n > 0 then advance n
 
 let advance_to t =
-  if Int64.compare t !current > 0 then begin
-    let d = Int64.sub t !current in
-    current := t;
-    !on_advance d;
-    !on_advance2 d
-  end
+  let t = Int64.to_int t in
+  if t > !current then advance (t - !current)
 
 let to_us t = Int64.to_float t /. float_of_int cycles_per_us
 

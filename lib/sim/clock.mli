@@ -28,12 +28,18 @@ val set_on_advance : (int64 -> unit) -> unit
     slot — kprof owns it. The observer must not charge cycles. *)
 
 val clear_on_advance : unit -> unit
-(** Restore the no-op observer. *)
+(** Empty the slot. *)
 
 val set_on_advance2 : (int64 -> unit) -> unit
-(** A second, independent observer slot (kspan owns it), called after
-    the first on every forward movement. The observer must not charge
-    cycles. *)
+(** A second, independent observer slot (kspan owns it while enabled),
+    called after the first on every forward movement. The observer must
+    not charge cycles. *)
+
+val clear_on_advance2 : unit -> unit
+(** Empty the second slot. *)
+
+val observers : unit -> int
+(** Installed observers (0-2). An empty slot is never called. *)
 
 val to_us : int64 -> float
 (** Convert a cycle count to microseconds. *)

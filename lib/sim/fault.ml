@@ -31,13 +31,18 @@ let site_id site =
     site;
   Int64.shift_right_logical !h 1 (* keep it non-negative for map keys *)
 
+(* Consulted once per persisted sector: with no trigger armed it must
+   not hash the site. A fired trigger is removed, so it reads as
+   unarmed from then on. *)
 let countdown site =
+  Hashtbl.length triggers > 0
+  &&
   match Hashtbl.find_opt triggers site with
   | None -> false
   | Some r ->
     if !r < 0 then false
     else if !r = 0 then begin
-      r := -1;
+      Hashtbl.remove triggers site;
       Stats.incr ("fault.injected." ^ site);
       Trace.emit Trace.Chaos "trigger" (fun () -> Printf.sprintf "site=%s" site);
       Trace.fire Trace.P_chaos_inject (fun () -> [| site_id site; 1L |]);

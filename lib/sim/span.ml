@@ -85,10 +85,6 @@ let wake_ctx : (string * int64) list ref = ref []
 
 let enabled () = !enabled_flag
 
-let enable () = enabled_flag := true
-
-let disable () = enabled_flag := false
-
 let auto () = !auto_flag
 
 let set_auto b = auto_flag := b
@@ -178,14 +174,22 @@ let cpu_label scope =
     l
 
 let on_advance d =
-  if !enabled_flag && !current_tid <> 0 then
+  if !current_tid <> 0 then
     match Hashtbl.find_opt active !current_tid with
     | Some sp ->
       let now = Clock.now () in
       add_seg sp (cpu_label (Prof.current_label ())) (Int64.sub now d) now
     | None -> ()
 
-let () = Clock.set_on_advance2 on_advance
+(* The observer is installed only while kspan is enabled, so a
+   span-off run pays nothing per clock advance. *)
+let enable () =
+  enabled_flag := true;
+  Clock.set_on_advance2 on_advance
+
+let disable () =
+  enabled_flag := false;
+  Clock.clear_on_advance2 ()
 
 (* --- Critical path ---
 

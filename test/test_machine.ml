@@ -343,6 +343,310 @@ let test_fault_determinism_and_isolation () =
   check "unconfigured sites never fire" true (List.for_all not a');
   Sim.Fault.disable ()
 
+(* --- virtio-blk: differential test against a per-sector model ---
+
+   Random sequences of cached writes, FUA writes, flushes, reads,
+   host-side [write_backing] and a [blk.power_cut] armed k persists
+   ahead run on the device (through descriptors, as a driver would) and
+   on a tiny per-sector reference model of the crash contract: writes
+   land in a volatile cache, a flush persists cached sectors in
+   ascending order, a FUA write persists each sector at once, every
+   persist is one crash boundary checked before the copy, and a power
+   cut drops the cache and silences the device. *)
+
+type blk_op =
+  | Blk_write of int * int * int (* sector, sectors, data seed *)
+  | Blk_fua of int * int * int
+  | Blk_flush
+  | Blk_read of int * int
+  | Blk_backing of int * int * int
+  | Blk_cut of int (* power cut on the k-th persist from now *)
+
+let blk_cap = 64 (* sectors: 8 chunks, so requests share and straddle chunks *)
+
+let blk_desc = 0x40000
+
+let blk_wbuf = 0x41000
+
+let blk_rbuf = 0x44000
+
+let sector_pattern ~sector ~seed =
+  Bytes.init 512 (fun i -> Char.unsafe_chr (((seed * 31) + (sector * 7) + (i * 13)) land 255))
+
+let pp_blk_op = function
+  | Blk_write (s, n, d) -> Printf.sprintf "write(%d,%d,%d)" s n d
+  | Blk_fua (s, n, d) -> Printf.sprintf "fua(%d,%d,%d)" s n d
+  | Blk_flush -> "flush"
+  | Blk_read (s, n) -> Printf.sprintf "read(%d,%d)" s n
+  | Blk_backing (s, n, d) -> Printf.sprintf "backing(%d,%d,%d)" s n d
+  | Blk_cut k -> Printf.sprintf "cut(%d)" k
+
+let gen_blk_ops =
+  let open QCheck.Gen in
+  (* Requests may run past the end (status 1); backdoor writes may not. *)
+  let req = pair (int_range 0 (blk_cap - 1)) (int_range 1 12) in
+  let op =
+    frequency
+      [
+        (4, map2 (fun (s, n) d -> Blk_write (s, n, d)) req (int_range 0 255));
+        (2, map2 (fun (s, n) d -> Blk_fua (s, n, d)) req (int_range 0 255));
+        (2, return Blk_flush);
+        (3, map (fun (s, n) -> Blk_read (s, n)) req);
+        ( 1,
+          map2
+            (fun (s, n) d -> Blk_backing (s, min n (blk_cap - s), d))
+            req (int_range 0 255) );
+        (1, map (fun k -> Blk_cut k) (int_range 0 24));
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let arb_blk_ops =
+  QCheck.make gen_blk_ops ~print:(fun ops -> String.concat "; " (List.map pp_blk_op ops))
+
+type blk_model = {
+  mdisk : Bytes.t option array; (* None reads as zeroes *)
+  mcache : Bytes.t option array;
+  mutable mdead : bool;
+  mutable mpersists : int;
+  mutable mflushes : int;
+  mutable mfua : int;
+  mutable cut_in : int option;
+  (* Chunks that took a cached write since the last drain, and the most
+     there ever were at once: the device's cache footprint. *)
+  mlive : bool array;
+  mutable mpeak : int;
+}
+
+let blk_model () =
+  {
+    mdisk = Array.make blk_cap None;
+    mcache = Array.make blk_cap None;
+    mdead = false;
+    mpersists = 0;
+    mflushes = 0;
+    mfua = 0;
+    cut_in = None;
+    mlive = Array.make (blk_cap / 8) false;
+    mpeak = 0;
+  }
+
+let model_live m = Array.fold_left (fun n b -> if b then n + 1 else n) 0 m.mlive
+
+let model_view m s =
+  match m.mcache.(s) with
+  | Some b -> b
+  | None -> ( match m.mdisk.(s) with Some b -> b | None -> Bytes.make 512 '\000')
+
+let model_persist m s data =
+  match m.cut_in with
+  | Some 0 ->
+    m.cut_in <- None;
+    m.mdead <- true;
+    Array.fill m.mcache 0 blk_cap None;
+    Array.fill m.mlive 0 (Array.length m.mlive) false;
+    false
+  | c ->
+    (match c with Some k -> m.cut_in <- Some (k - 1) | None -> ());
+    m.mdisk.(s) <- Some data;
+    m.mcache.(s) <- None;
+    m.mpersists <- m.mpersists + 1;
+    true
+
+(* The model's outcome of one request: [None] when no status is
+   written (dead device, or the power cut fired inside it), else the
+   status and, for a read, the expected bytes. *)
+let model_request m op =
+  let in_range s n = s + n <= blk_cap in
+  let datas s n seed = List.init n (fun i -> sector_pattern ~sector:(s + i) ~seed) in
+  if m.mdead then None
+  else
+    match op with
+    | Blk_write (s, n, _) | Blk_fua (s, n, _) | Blk_read (s, n) when not (in_range s n) ->
+      Some (1, None)
+    | Blk_write (s, n, seed) ->
+      List.iteri
+        (fun i d ->
+          m.mcache.(s + i) <- Some d;
+          m.mlive.((s + i) / 8) <- true)
+        (datas s n seed);
+      m.mpeak <- max m.mpeak (model_live m);
+      Some (0, None)
+    | Blk_fua (s, n, seed) ->
+      m.mfua <- m.mfua + 1;
+      let ok = ref true in
+      List.iteri (fun i d -> if !ok then ok := model_persist m (s + i) d) (datas s n seed);
+      if !ok then Some (0, None) else None
+    | Blk_flush ->
+      m.mflushes <- m.mflushes + 1;
+      let ok = ref true in
+      for s = 0 to blk_cap - 1 do
+        match m.mcache.(s) with
+        | Some d when !ok -> ok := model_persist m s d
+        | _ -> ()
+      done;
+      if !ok then begin
+        Array.fill m.mlive 0 (Array.length m.mlive) false;
+        Some (0, None)
+      end
+      else None
+    | Blk_read (s, n) -> Some (0, Some (Bytes.concat Bytes.empty (List.init n (fun i -> model_view m (s + i)))))
+    | Blk_backing _ | Blk_cut _ -> assert false
+
+let blk_submit ~typ ~sector ~nsect ~data =
+  Machine.Phys.write_u32 blk_desc typ;
+  Machine.Phys.write_u32 (blk_desc + 4) (nsect * 512);
+  Machine.Phys.write_u64 (blk_desc + 8) (Int64.of_int sector);
+  Machine.Phys.write_u64 (blk_desc + 16) (Int64.of_int data);
+  Machine.Phys.write_u32 (blk_desc + 24) 0xff;
+  Machine.Phys.write_u64 (blk_desc + 32) 0L;
+  Machine.Mmio.write
+    ~addr:(Machine.Board.pci_hole_base + Machine.Virtio_blk.reg_queue_notify)
+    ~len:8 (Int64.of_int blk_desc);
+  run_all_events ();
+  Machine.Phys.read_u32 (blk_desc + 24)
+
+let new_blk ?disk () =
+  Machine.Virtio_blk.create ?disk ~capacity_sectors:blk_cap
+    ~mmio_base:Machine.Board.pci_hole_base ~dev_id:1 ~vector:40 ()
+
+(* Run [ops] on a fresh device and the model side by side; [after_op]
+   sees both after every op. Fails on the first divergence. *)
+let run_blk_ops ?(after_op = fun _ _ -> ()) ops =
+  setup ();
+  Machine.Irq_chip.set_dispatcher (fun _ -> ());
+  let blk = new_blk () in
+  let m = blk_model () in
+  List.iteri
+    (fun step op ->
+      let fail fmt = QCheck.Test.fail_reportf ("step %d %s: " ^^ fmt) step (pp_blk_op op) in
+      (match op with
+      | Blk_cut k ->
+        Sim.Fault.set_trigger "blk.power_cut" ~after:k;
+        m.cut_in <- Some k
+      | Blk_backing (s, n, seed) ->
+        let data = List.init n (fun i -> sector_pattern ~sector:(s + i) ~seed) in
+        Machine.Virtio_blk.write_backing blk ~sector:s (Bytes.concat Bytes.empty data);
+        List.iteri
+          (fun i d ->
+            m.mcache.(s + i) <- None;
+            m.mdisk.(s + i) <- Some d)
+          data
+      | Blk_write (s, n, seed) | Blk_fua (s, n, seed) ->
+        let typ = match op with Blk_write _ -> 1 | _ -> 3 in
+        List.iteri
+          (fun i d -> Machine.Phys.write ~paddr:(blk_wbuf + (i * 512)) d ~off:0 ~len:512)
+          (List.init n (fun i -> sector_pattern ~sector:(s + i) ~seed));
+        let got = blk_submit ~typ ~sector:s ~nsect:n ~data:blk_wbuf in
+        let want = match model_request m op with Some (st, _) -> st | None -> 0xff in
+        if got <> want then fail "status %d, model %d" got want
+      | Blk_flush ->
+        let got = blk_submit ~typ:2 ~sector:0 ~nsect:0 ~data:0 in
+        let want = match model_request m op with Some (st, _) -> st | None -> 0xff in
+        if got <> want then fail "status %d, model %d" got want
+      | Blk_read (s, n) -> (
+        Machine.Phys.fill ~paddr:blk_rbuf ~len:(n * 512) '\xee';
+        let got = blk_submit ~typ:0 ~sector:s ~nsect:n ~data:blk_rbuf in
+        match model_request m op with
+        | None -> if got <> 0xff then fail "status %d from a dead device" got
+        | Some (want, expect) -> (
+          if got <> want then fail "status %d, model %d" got want;
+          match expect with
+          | Some e ->
+            let out = Bytes.create (n * 512) in
+            Machine.Phys.read ~paddr:blk_rbuf out ~off:0 ~len:(n * 512);
+            if not (Bytes.equal out e) then fail "read returned different bytes"
+          | None -> ())));
+      let dev_counts =
+        Machine.Virtio_blk.
+          (persist_count blk, flushes blk, fua_writes blk, is_dead blk)
+      in
+      if dev_counts <> (m.mpersists, m.mflushes, m.mfua, m.mdead) then
+        fail "persists/flushes/fua/dead differ from the model (%d/%d/%d/%b)" m.mpersists
+          m.mflushes m.mfua m.mdead;
+      after_op blk m)
+    ops;
+  (blk, m)
+
+let image_matches blk m =
+  let ok = ref true in
+  for s = 0 to blk_cap - 1 do
+    let want = match m.mdisk.(s) with Some b -> b | None -> Bytes.make 512 '\000' in
+    if not (Bytes.equal want (Machine.Virtio_blk.read_backing blk ~sector:s ~len:512)) then
+      ok := false
+  done;
+  !ok
+
+let prop_blk_differential =
+  QCheck.Test.make ~name:"virtio_blk_matches_sector_model" ~count:300 arb_blk_ops (fun ops ->
+      let blk, m = run_blk_ops ops in
+      (* The host view reads cache-then-disk; after a power cut there
+         is no cache left to shadow the image. *)
+      for s = 0 to blk_cap - 1 do
+        if not (Bytes.equal (model_view m s) (Machine.Virtio_blk.read_backing blk ~sector:s ~len:512))
+        then QCheck.Test.fail_reportf "host view of sector %d differs" s
+      done;
+      (* What survives is exactly the model's disk, read through a fresh
+         device around the image (empty cache). A clone is independent
+         of the original in both directions. *)
+      let img = Machine.Virtio_blk.disk_image blk in
+      let copy = Machine.Virtio_blk.clone_disk img in
+      setup ();
+      let dev = new_blk ~disk:img () in
+      if not (image_matches dev m) then QCheck.Test.fail_report "survived image differs";
+      if Machine.Virtio_blk.persist_count dev <> m.mpersists then
+        QCheck.Test.fail_report "persist count not carried by the image";
+      Machine.Virtio_blk.write_backing dev ~sector:0 (Bytes.make (blk_cap * 512) 'X');
+      setup ();
+      let dev' = new_blk ~disk:copy () in
+      if not (image_matches dev' m) then QCheck.Test.fail_report "clone saw the original's writes";
+      Machine.Virtio_blk.write_backing dev' ~sector:0 (Bytes.make (blk_cap * 512) 'Y');
+      setup ();
+      let again = new_blk ~disk:img () in
+      if not (Bytes.equal (Machine.Virtio_blk.read_backing again ~sector:0 ~len:512)
+                (Bytes.make 512 'X'))
+      then QCheck.Test.fail_report "original saw the clone's writes";
+      true)
+
+(* Memory bound of the chunked store, over the same random sequences:
+   the cache holds exactly the chunks written since the last drain, a
+   flush or power cut hands them all to the pool, and the pool never
+   outgrows the peak number of chunks live at once. *)
+let prop_blk_cache_bounded =
+  QCheck.Test.make ~name:"virtio_blk_cache_bounded_by_peak" ~count:300 arb_blk_ops (fun ops ->
+      let after_op blk m =
+        let st = Machine.Virtio_blk.cache_stats blk in
+        if st.live_chunks <> model_live m then
+          QCheck.Test.fail_reportf "%d live chunks, model %d" st.live_chunks (model_live m);
+        if st.pooled_chunks > m.mpeak || st.live_chunks + st.pooled_chunks <> m.mpeak then
+          QCheck.Test.fail_reportf "%d live + %d pooled chunks, peak live %d" st.live_chunks
+            st.pooled_chunks m.mpeak
+      in
+      ignore (run_blk_ops ~after_op ops);
+      true)
+
+let test_blk_reads_do_not_allocate () =
+  setup ();
+  Machine.Irq_chip.set_dispatcher (fun _ -> ());
+  let blk = new_blk () in
+  let img = Machine.Virtio_blk.disk_image blk in
+  check_int "fresh image is empty" 0 (Machine.Virtio_blk.image_chunks img);
+  check_int "read of unwritten sectors" 0 (blk_submit ~typ:0 ~sector:5 ~nsect:12 ~data:blk_rbuf);
+  let out = Bytes.create (12 * 512) in
+  Machine.Phys.read ~paddr:blk_rbuf out ~off:0 ~len:(12 * 512);
+  check "reads as zeroes" true (Bytes.equal out (Bytes.make (12 * 512) '\000'));
+  ignore (Machine.Virtio_blk.read_backing blk ~sector:40 ~len:1024);
+  check_int "image did not grow" 0 (Machine.Virtio_blk.image_chunks img);
+  (* A cached write does not touch the image; its flush makes one chunk
+     and leaves the cache chunk pooled, not live. *)
+  ignore (blk_submit ~typ:1 ~sector:9 ~nsect:2 ~data:blk_wbuf);
+  check_int "cached write leaves the image alone" 0 (Machine.Virtio_blk.image_chunks img);
+  ignore (blk_submit ~typ:2 ~sector:0 ~nsect:0 ~data:0);
+  check_int "flush wrote one chunk" 1 (Machine.Virtio_blk.image_chunks img);
+  let st = Machine.Virtio_blk.cache_stats blk in
+  check_int "no live cache chunk after a flush" 0 st.live_chunks;
+  check_int "the drained chunk is pooled" 1 st.pooled_chunks
+
 let prop_phys_roundtrip =
   QCheck.Test.make ~name:"phys_random_roundtrips" ~count:200
     QCheck.(pair (int_range 0 100000) (string_of_size (QCheck.Gen.int_range 1 9000)))
@@ -400,6 +704,8 @@ let () =
           Alcotest.test_case "wire" `Quick test_wire_delivery;
           Alcotest.test_case "virtio_blk_rw" `Quick test_virtio_blk_write_read;
           Alcotest.test_case "virtio_blk_iommu" `Quick test_virtio_blk_iommu_blocks_dma;
+          Alcotest.test_case "virtio_blk_reads_do_not_allocate" `Quick
+            test_blk_reads_do_not_allocate;
           Alcotest.test_case "virtio_net_tx_rx" `Quick test_virtio_net_tx_rx;
           Alcotest.test_case "virtio_net_backlog" `Quick test_virtio_net_backlog;
         ] );
@@ -413,5 +719,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_fault_determinism_and_isolation;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_phys_roundtrip; prop_iommu_pages ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_phys_roundtrip; prop_iommu_pages; prop_blk_differential; prop_blk_cache_bounded ]
+      );
     ]

@@ -16,6 +16,26 @@ let test_clock_advance () =
   Sim.Clock.advance_to 200L;
   Alcotest.(check int64) "monotone" 500L (Sim.Clock.now ())
 
+(* An empty observer slot is never called; a filled one sees every
+   forward movement exactly once, charge or jump, and none backwards. *)
+let test_clock_observers () =
+  Sim.Clock.reset ();
+  Sim.Prof.disable ();
+  Sim.Span.disable ();
+  check_int "no observers" 0 (Sim.Clock.observers ());
+  let seen = ref [] in
+  Sim.Clock.set_on_advance2 (fun d -> seen := d :: !seen);
+  check_int "one observer" 1 (Sim.Clock.observers ());
+  Sim.Clock.charge 10;
+  Sim.Clock.charge 0;
+  Sim.Clock.advance_to 100L;
+  Sim.Clock.advance_to 50L;
+  Sim.Clock.clear_on_advance2 ();
+  Sim.Clock.charge 5;
+  Alcotest.(check (list int64)) "deltas" [ 10L; 90L ] (List.rev !seen);
+  check_int "cleared" 0 (Sim.Clock.observers ());
+  Alcotest.(check int64) "time kept" 105L (Sim.Clock.now ())
+
 let test_clock_negative_charge () =
   Alcotest.check_raises "negative" (Invalid_argument "Clock.charge: negative cost") (fun () ->
       Sim.Clock.charge (-1))
@@ -414,6 +434,7 @@ let () =
           Alcotest.test_case "charge" `Quick test_clock_charge;
           Alcotest.test_case "advance_monotone" `Quick test_clock_advance;
           Alcotest.test_case "negative_charge" `Quick test_clock_negative_charge;
+          Alcotest.test_case "observers" `Quick test_clock_observers;
         ] );
       ( "events",
         [

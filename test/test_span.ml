@@ -323,6 +323,43 @@ let test_critical_path_attribution_bound () =
       if worst >= 0.05 then
         Alcotest.failf "worst unattributed fraction %.4f >= 0.05" worst)
 
+(* kspan watches the clock through an observer it installs on enable
+   and removes on disable. With kspan and kprof both off no observer is
+   installed, so none is called; a span opened after enabling kspan
+   mid-run sees only the cycles charged from then on. *)
+let test_enable_mid_run () =
+  Sim.Span.disable ();
+  Sim.Prof.disable ();
+  let off = ref (-1) and on = ref (-1) and t_on = ref 0L in
+  let code =
+    run_user (fun _c ->
+        off := Sim.Clock.observers ();
+        Sim.Clock.charge 100_000;
+        t_on := Sim.Clock.now ();
+        Sim.Span.enable ();
+        on := Sim.Clock.observers ();
+        Sim.Span.annotate_begin ~cls:"mid" ~name:"req";
+        Sim.Clock.charge 7_000;
+        Sim.Span.annotate_end ();
+        Sim.Span.disable ();
+        0)
+  in
+  check_int "exit code" 0 code;
+  check_int "no observer with kspan and kprof off" 0 !off;
+  check_int "enable installs one observer" 1 !on;
+  check_int "disable removes it" 0 (Sim.Clock.observers ());
+  match Sim.Span.tail "mid" with
+  | [ info ] ->
+    check "span begins at the enable point" true (Int64.equal info.Sim.Span.i_begin !t_on);
+    Alcotest.(check int64) "wall time is only the post-enable charge" 7_000L info.Sim.Span.i_dur;
+    let cpu =
+      List.fold_left
+        (fun a (l, c) -> if String.starts_with ~prefix:"cpu." l then Int64.add a c else a)
+        0L info.Sim.Span.i_path
+    in
+    Alcotest.(check int64) "all of it attributed on-CPU" 7_000L cpu
+  | other -> Alcotest.failf "expected 1 reservoir span, got %d" (List.length other)
+
 let () =
   Alcotest.run "span"
     [
@@ -350,5 +387,6 @@ let () =
           Alcotest.test_case "span_on_same_virtual_time" `Quick test_span_on_same_virtual_time;
           Alcotest.test_case "same_seed_identical_reports" `Quick
             test_same_seed_identical_span_reports;
+          Alcotest.test_case "enable_mid_run" `Quick test_enable_mid_run;
         ] );
     ]
