@@ -73,10 +73,10 @@ module Spin_lock = struct
     Lock_stat.acquired t.st ~contended:false ~wait_cycles:0L;
     Atomic_mode.enter ();
     Sim.Cost.charge 20;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Clock.cycles () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Int64.of_int (Sim.Clock.cycles () - h0));
         t.holder <- None;
         Atomic_mode.exit ())
       f
@@ -99,15 +99,15 @@ module Mutex = struct
     let me = Task.tid (Task.current ()) in
     if t.holder = Some me then Panic.panicf "Mutex %s: re-entrant acquisition" t.name;
     let contended = t.holder <> None in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Clock.cycles () in
     Wait_queue.sleep_until t.wq (fun () -> t.holder = None);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.of_int (Sim.Clock.cycles () - w0));
     t.holder <- Some me;
     Sim.Cost.charge 30;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Clock.cycles () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Int64.of_int (Sim.Clock.cycles () - h0));
         t.holder <- None;
         ignore (Wait_queue.wake_one t.wq))
       f
@@ -129,28 +129,28 @@ module Rw_lock = struct
 
   let with_read t f =
     let contended = t.writer in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Clock.cycles () in
     Wait_queue.sleep_until t.wq (fun () -> not t.writer);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.of_int (Sim.Clock.cycles () - w0));
     t.readers <- t.readers + 1;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Clock.cycles () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Int64.of_int (Sim.Clock.cycles () - h0));
         t.readers <- t.readers - 1;
         if t.readers = 0 then ignore (Wait_queue.wake_all t.wq))
       f
 
   let with_write t f =
     let contended = t.writer || t.readers > 0 in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Clock.cycles () in
     Wait_queue.sleep_until t.wq (fun () -> (not t.writer) && t.readers = 0);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.of_int (Sim.Clock.cycles () - w0));
     t.writer <- true;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Clock.cycles () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Int64.of_int (Sim.Clock.cycles () - h0));
         t.writer <- false;
         ignore (Wait_queue.wake_all t.wq))
       f

@@ -15,10 +15,10 @@ type t = {
   mutable utime : int64; (* cycles accounted to user mode *)
   mutable stime : int64; (* cycles accounted to kernel mode *)
   mutable user_mode : bool; (* which bucket accrues right now *)
-  mutable acct_mark : int64; (* clock at last accounting flush *)
+  mutable acct_mark : int; (* clock cycle at last accounting flush *)
   mutable nvcsw : int; (* voluntary context switches (blocked) *)
   mutable nivcsw : int; (* involuntary context switches (yielded) *)
-  mutable runnable_at : int64; (* enqueue instant, -1 once dispatched *)
+  mutable runnable_at : int; (* enqueue cycle, -1 once dispatched *)
   mutable sdelay_sum : int64; (* total runqueue-wait cycles *)
   mutable sdelay_cnt : int; (* dispatches with a measured wait *)
   mutable sdelay_max : int64;
@@ -78,13 +78,11 @@ let all_tasks : (int, t) Hashtbl.t = Hashtbl.create 64
 let ns_of_cycles c = Int64.of_float (Sim.Clock.to_us c *. 1000.)
 
 let max_runnable_wait_ns () =
-  let now = Sim.Clock.now () in
+  let now = Sim.Clock.cycles () in
   Hashtbl.fold
     (fun _ t acc ->
-      if t.st = Ready && Int64.compare t.runnable_at 0L >= 0 then begin
-        let d = Int64.sub now t.runnable_at in
-        let d = if Int64.compare d 0L > 0 then d else 0L in
-        let d = ns_of_cycles d in
+      if t.st = Ready && t.runnable_at >= 0 then begin
+        let d = ns_of_cycles (Int64.of_int (Int.max 0 (now - t.runnable_at))) in
         if Int64.compare d acc > 0 then d else acc
       end
       else acc)
@@ -106,9 +104,10 @@ let total_stime = ref 0L
 let switch_count = ref 0
 
 let acct_flush t =
-  let now = Sim.Clock.now () in
-  let d = Int64.sub now t.acct_mark in
-  if Int64.compare d 0L > 0 then
+  let now = Sim.Clock.cycles () in
+  let d = now - t.acct_mark in
+  if d > 0 then begin
+    let d = Int64.of_int d in
     if t.user_mode then begin
       t.utime <- Int64.add t.utime d;
       total_utime := Int64.add !total_utime d
@@ -116,14 +115,14 @@ let acct_flush t =
     else begin
       t.stime <- Int64.add t.stime d;
       total_stime := Int64.add !total_stime d
-    end;
+    end
+  end;
   t.acct_mark <- now
 
 (* utime/stime including the live span of a currently-running task. *)
 let cpu_times t =
   if t.running_flag then begin
-    let d = Int64.sub (Sim.Clock.now ()) t.acct_mark in
-    let d = if Int64.compare d 0L > 0 then d else 0L in
+    let d = Int64.of_int (Int.max 0 (Sim.Clock.cycles () - t.acct_mark)) in
     if t.user_mode then (Int64.add t.utime d, t.stime) else (t.utime, Int64.add t.stime d)
   end
   else (t.utime, t.stime)
@@ -201,7 +200,7 @@ let enqueue_ready t =
   let (module S) = scheduler () in
   t.st <- Ready;
   (* Runqueue-wait starts now; dispatch measures the delta. *)
-  t.runnable_at <- Sim.Clock.now ();
+  t.runnable_at <- Sim.Clock.cycles ();
   S.enqueue t
 
 let spawn ?(name = "task") body =
@@ -220,10 +219,10 @@ let spawn ?(name = "task") body =
       utime = 0L;
       stime = 0L;
       user_mode = false;
-      acct_mark = 0L;
+      acct_mark = 0;
       nvcsw = 0;
       nivcsw = 0;
-      runnable_at = -1L;
+      runnable_at = -1;
       sdelay_sum = 0L;
       sdelay_cnt = 0;
       sdelay_max = 0L;
@@ -314,17 +313,16 @@ let dispatch t =
        switch cost below is charged to the task being switched in, as
        is its accounting mark. *)
     Sim.Prof.switch_to (Printf.sprintf "%s/%d" t.tname t.tid);
-    t.acct_mark <- Sim.Clock.now ();
+    t.acct_mark <- Sim.Clock.cycles ();
     (* Runqueue wait: from the enqueue that made the task runnable to
        this dispatch. Fed to the sched.delay histogram (microseconds)
        and the per-task schedstat totals; costs nothing in virtual
        time. *)
     let own_wait_ns = ref 0L in
     let span_waited = ref 0L in
-    if Int64.compare t.runnable_at 0L >= 0 then begin
-      let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
-      let d = if Int64.compare d 0L > 0 then d else 0L in
-      t.runnable_at <- -1L;
+    if t.runnable_at >= 0 then begin
+      let d = Int64.of_int (Int.max 0 (Sim.Clock.cycles () - t.runnable_at)) in
+      t.runnable_at <- -1;
       t.sdelay_sum <- Int64.add t.sdelay_sum d;
       t.sdelay_cnt <- t.sdelay_cnt + 1;
       if Int64.compare d t.sdelay_max > 0 then t.sdelay_max <- d;

@@ -130,9 +130,9 @@ type cache_stats = { live_chunks : int; pooled_chunks : int }
 
 let cache_stats t = { live_chunks = t.ndirty; pooled_chunks = Stack.length t.pool }
 
-let mask t c = Char.code (Bytes.unsafe_get t.cmask c)
+let mask t c = Char.code (Bytes.get t.cmask c)
 
-let set_mask t c m = Bytes.unsafe_set t.cmask c (Char.unsafe_chr m)
+let set_mask t c m = Bytes.set t.cmask c (Char.unsafe_chr m)
 
 let bit s = 1 lsl (s mod chunk_sectors)
 
@@ -231,12 +231,21 @@ let flush_cache t =
   t.ndirty <- 0;
   !ok
 
+(* [nsect] sectors from [sector] lie on the device. Written so that no
+   sum can overflow: a descriptor's sector field is guest-controlled. *)
+let in_range t ~sector ~nsect = sector >= 0 && nsect >= 0 && nsect <= t.capacity - sector
+
 (* Out-of-band host access used by tests and mkfs-style tooling:
    writes go straight to the disk image (no crash boundaries counted),
-   reads observe cache-then-disk like the device itself would. *)
+   reads observe cache-then-disk like the device itself would. A range
+   off the device raises before anything is touched. *)
+let check_backing t fn ~sector ~len =
+  if len mod sector_size <> 0 || not (in_range t ~sector ~nsect:(len / sector_size)) then
+    invalid_arg (Printf.sprintf "Virtio_blk.%s: sector %d len %d off the device" fn sector len)
+
 let write_backing t ~sector data =
   let len = Bytes.length data in
-  assert (len mod sector_size = 0);
+  check_backing t "write_backing" ~sector ~len;
   for i = 0 to (len / sector_size) - 1 do
     let s = sector + i in
     uncache t s;
@@ -244,7 +253,7 @@ let write_backing t ~sector data =
   done
 
 let read_backing t ~sector ~len =
-  assert (len mod sector_size = 0);
+  check_backing t "read_backing" ~sector ~len;
   let out = Bytes.create len in
   for i = 0 to (len / sector_size) - 1 do
     let s = sector + i in
@@ -363,8 +372,7 @@ let execute_one t desc_paddr =
         end
       in
       let nsect = len / sector_size in
-      let in_range = sector >= 0 && nsect >= 0 && sector + nsect <= t.capacity in
-      if (not in_range) || len mod sector_size <> 0 then finish 1
+      if (not (in_range t ~sector ~nsect)) || len mod sector_size <> 0 then finish 1
       else begin
         match typ with
         | 2 (* flush: the only ordinary path to durability *) ->

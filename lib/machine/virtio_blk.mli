@@ -83,9 +83,14 @@ val capacity_sectors : t -> int
 
 val write_backing : t -> sector:int -> bytes -> unit
 (** Host-side backdoor used by tests and mkfs to seed disk contents.
-    Writes go straight to the persistent image (no crash boundaries). *)
+    Writes go straight to the persistent image (no crash boundaries).
+    A length that is not a whole number of sectors, or a range that does
+    not lie on the device, raises [Invalid_argument] and changes
+    nothing. *)
 
 val read_backing : t -> sector:int -> len:int -> bytes
+(** Read what the device would return (write cache, then image). Raises
+    [Invalid_argument] like {!write_backing}. *)
 
 val requests_completed : t -> int
 val requests_failed : t -> int

@@ -1,11 +1,15 @@
 let cycles_per_us = 3000
 
 (* Unboxed: [charge] runs on every modelled cost, and an [int64] ref
-   would box (and write-barrier) a fresh value each time. [now] boxes
-   only on read. *)
+   would box (and write-barrier) a fresh value each time. [now] boxes a
+   fresh [int64] on every read, so the simulator's own hot readers
+   (the event heap, kspan, task and lock accounting) use [cycles]
+   instead. *)
 let current = ref 0
 
 let reset () = current := 0
+
+let cycles () = !current
 
 let now () = Int64.of_int !current
 
@@ -47,9 +51,9 @@ let charge n =
   if n < 0 then invalid_arg "Clock.charge: negative cost";
   if n > 0 then advance n
 
-let advance_to t =
-  let t = Int64.to_int t in
-  if t > !current then advance (t - !current)
+let advance_to_cycles t = if t > !current then advance (t - !current)
+
+let advance_to t = advance_to_cycles (Int64.to_int t)
 
 let to_us t = Int64.to_float t /. float_of_int cycles_per_us
 

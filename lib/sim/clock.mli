@@ -12,7 +12,10 @@ val reset : unit -> unit
 (** Reset the clock to cycle 0. Tests and benchmark runs call this. *)
 
 val now : unit -> int64
-(** Current virtual time in cycles. *)
+(** Current virtual time in cycles. Allocates the [int64]. *)
+
+val cycles : unit -> int
+(** {!now} as an unboxed [int]: the same value, without allocating. *)
 
 val charge : int -> unit
 (** [charge n] advances virtual time by [n] cycles. [n < 0] is a
@@ -21,6 +24,9 @@ val charge : int -> unit
 val advance_to : int64 -> unit
 (** Jump forward to an absolute cycle count (used by the event queue when
     the machine is idle). Moving backwards is ignored. *)
+
+val advance_to_cycles : int -> unit
+(** {!advance_to} for an unboxed cycle count. *)
 
 val set_on_advance : (int64 -> unit) -> unit
 (** Install the clock observer: called with the delta on every forward

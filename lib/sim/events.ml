@@ -70,11 +70,9 @@ let clear () =
   done;
   len := 0
 
-let schedule_at time run =
-  if Int64.compare time 0L < 0 || Int64.compare time (Int64.of_int max_int) > 0 then
-    invalid_arg "Events.schedule_at: time outside [0, max_int]";
+let insert time run =
   incr seq;
-  let e = { time = Int64.to_int time; seq = !seq; slot = -1; run } in
+  let e = { time; seq = !seq; slot = -1; run } in
   if !len = Array.length !arr then begin
     let bigger = Array.make (2 * !len) dummy in
     Array.blit !arr 0 bigger 0 !len;
@@ -84,9 +82,16 @@ let schedule_at time run =
   sift_up (!len - 1) e;
   e
 
+let schedule_at time run =
+  if Int64.compare time 0L < 0 || Int64.compare time (Int64.of_int max_int) > 0 then
+    invalid_arg "Events.schedule_at: time outside [0, max_int]";
+  insert (Int64.to_int time) run
+
 let schedule_after n run =
   if n < 0 then invalid_arg "Events.schedule_after: negative delay";
-  schedule_at (Int64.add (Clock.now ()) (Int64.of_int n)) run
+  let now = Clock.cycles () in
+  if n > max_int - now then invalid_arg "Events.schedule_at: time outside [0, max_int]";
+  insert (now + n) run
 
 let cancel e = if e.slot >= 0 then ignore (remove_at e.slot : event)
 
@@ -94,7 +99,7 @@ let pending () = !len
 
 let run_due () =
   let ran = ref false in
-  while !len > 0 && !arr.(0).time <= Int64.to_int (Clock.now ()) do
+  while !len > 0 && !arr.(0).time <= Clock.cycles () do
     let e = remove_at 0 in
     ran := true;
     e.run ()
@@ -105,7 +110,7 @@ let run_next () =
   if !len = 0 then false
   else begin
     let e = remove_at 0 in
-    Clock.advance_to (Int64.of_int e.time);
+    Clock.advance_to_cycles e.time;
     e.run ();
     ignore (run_due ());
     true

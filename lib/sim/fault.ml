@@ -16,7 +16,9 @@ let armed = ref false
    Used to enumerate crash points exactly — no randomness involved. *)
 let triggers : (string, int ref) Hashtbl.t = Hashtbl.create 4
 
-let set_trigger site ~after = Hashtbl.replace triggers site (ref after)
+let set_trigger site ~after =
+  if after < 0 then invalid_arg "Fault.set_trigger: negative count";
+  Hashtbl.replace triggers site (ref after)
 
 let clear_trigger site = Hashtbl.remove triggers site
 
@@ -40,8 +42,7 @@ let countdown site =
   match Hashtbl.find_opt triggers site with
   | None -> false
   | Some r ->
-    if !r < 0 then false
-    else if !r = 0 then begin
+    if !r = 0 then begin
       Hashtbl.remove triggers site;
       Stats.incr ("fault.injected." ^ site);
       Trace.emit Trace.Chaos "trigger" (fun () -> Printf.sprintf "site=%s" site);

@@ -76,7 +76,8 @@ val summary : unit -> (string * int) list
 
 val set_trigger : string -> after:int -> unit
 (** Arm a one-shot trigger: the [after]-th {!countdown} call for this
-    site fires (0-based — [~after:0] fires on the very first consult). *)
+    site fires (0-based — [~after:0] fires on the very first consult).
+    A negative [after] raises [Invalid_argument]. *)
 
 val clear_trigger : string -> unit
 

@@ -31,7 +31,9 @@
    never charges cycles and never consumes randomness, so a span-on
    same-seed run is byte-identical to a span-off one. *)
 
-type seg = { slabel : string; mutable s_t0 : int64; mutable s_t1 : int64 }
+(* Segment bounds are unboxed cycle counts: the clock observer below
+   extends a segment on every advance. *)
+type seg = { slabel : string; mutable s_t0 : int; mutable s_t1 : int }
 
 type t = {
   id : int;
@@ -43,7 +45,7 @@ type t = {
   mutable segs : seg list; (* newest first *)
   mutable nsegs : int;
   mutable truncated : int;
-  mutable last_off : int64; (* when the owning task last left the CPU *)
+  mutable last_off : int; (* cycle the owning task last left the CPU *)
   mutable path : (string * int64) list; (* filled at end: descending *)
   mutable residual : int64;
 }
@@ -81,7 +83,7 @@ let class_tbl : (string, agg) Hashtbl.t = Hashtbl.create 16
 
 let current_tid = ref 0
 
-let wake_ctx : (string * int64) list ref = ref []
+let wake_ctx : (string * int) list ref = ref []
 
 let enabled () = !enabled_flag
 
@@ -113,7 +115,7 @@ let finished_count () = !finished
 let merge_window = 8
 
 let add_seg sp label t0 t1 =
-  if Int64.compare t1 t0 > 0 && Int64.equal sp.t_end 0L then begin
+  if t1 > t0 && Int64.equal sp.t_end 0L then begin
     (* Coalesce into a recent same-label segment when the intervals
        touch or overlap: the union is a single interval, so the
        critical-path sweep sees exactly the same coverage. *)
@@ -125,11 +127,11 @@ let add_seg sp label t0 t1 =
       | s :: tl ->
         if
           String.equal s.slabel label
-          && Int64.compare s.s_t0 t1 <= 0
-          && Int64.compare t0 s.s_t1 <= 0
+          && s.s_t0 <= t1
+          && t0 <= s.s_t1
         then begin
-          if Int64.compare t0 s.s_t0 < 0 then s.s_t0 <- t0;
-          if Int64.compare t1 s.s_t1 > 0 then s.s_t1 <- t1;
+          if t0 < s.s_t0 then s.s_t0 <- t0;
+          if t1 > s.s_t1 then s.s_t1 <- t1;
           true
         end
         else coalesce (k + 1) tl
@@ -146,7 +148,7 @@ let add_seg sp label t0 t1 =
 let add_to id label t0 t1 =
   if id <> 0 && !enabled_flag then
     match Hashtbl.find_opt live id with
-    | Some sp -> add_seg sp label t0 t1
+    | Some sp -> add_seg sp label (Int64.to_int t0) (Int64.to_int t1)
     | None -> ()
 
 let active_span () =
@@ -155,7 +157,7 @@ let active_span () =
 let mark label t0 =
   if !enabled_flag then
     match active_span () with
-    | Some sp -> add_seg sp label t0 (Clock.now ())
+    | Some sp -> add_seg sp label (Int64.to_int t0) (Clock.cycles ())
     | None -> ()
 
 (* CPU attribution: the second clock observer. Every advance while a
@@ -177,8 +179,8 @@ let on_advance d =
   if !current_tid <> 0 then
     match Hashtbl.find_opt active !current_tid with
     | Some sp ->
-      let now = Clock.now () in
-      add_seg sp (cpu_label (Prof.current_label ())) (Int64.sub now d) now
+      let now = Clock.cycles () in
+      add_seg sp (cpu_label (Prof.current_label ())) (now - Int64.to_int d) now
     | None -> ()
 
 (* The observer is installed only while kspan is enabled, so a
@@ -215,7 +217,7 @@ let compute_path sp =
   let lo = sp.t_begin and hi = sp.t_end in
   let clip t = if Int64.compare t lo < 0 then lo else if Int64.compare t hi > 0 then hi else t in
   let segs =
-    List.rev_map (fun s -> (s.slabel, clip s.s_t0, clip s.s_t1)) sp.segs
+    List.rev_map (fun s -> (s.slabel, clip (Int64.of_int s.s_t0), clip (Int64.of_int s.s_t1))) sp.segs
     |> List.filter (fun (_, a, b) -> Int64.compare b a > 0)
   in
   let total = Int64.sub hi lo in
@@ -345,7 +347,7 @@ let begin_ ~cls ~name =
         segs = [];
         nsegs = 0;
         truncated = 0;
-        last_off = 0L;
+        last_off = 0;
         path = [];
         residual = 0L;
       }
@@ -383,7 +385,7 @@ let syscall_end id = end_ id
 let on_deschedule () =
   (if !enabled_flag then
      match active_span () with
-     | Some sp -> sp.last_off <- Clock.now ()
+     | Some sp -> sp.last_off <- Clock.cycles ()
      | None -> ());
   current_tid := 0
 
@@ -392,11 +394,11 @@ let on_dispatch ~tid ~waited =
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let now = Clock.now () in
-      let runnable = Int64.sub now waited in
-      if Int64.compare sp.last_off 0L > 0 then begin
+      let now = Clock.cycles () in
+      let runnable = now - Int64.to_int waited in
+      if sp.last_off > 0 then begin
         add_seg sp "blocked" sp.last_off runnable;
-        sp.last_off <- 0L
+        sp.last_off <- 0
       end;
       add_seg sp "sched.delay" runnable now
     | None -> ()
@@ -405,7 +407,7 @@ let on_wake ~tid =
   if !enabled_flag && !wake_ctx <> [] then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let now = Clock.now () in
+      let now = Clock.cycles () in
       List.iter (fun (label, entered) -> add_seg sp label entered now) !wake_ctx
     | None -> ()
 
@@ -415,7 +417,7 @@ let on_task_exit tid =
   | None -> ());
   if !current_tid = tid then current_tid := 0
 
-let enter_wake_ctx label = wake_ctx := (label, Clock.now ()) :: !wake_ctx
+let enter_wake_ctx label = wake_ctx := (label, Clock.cycles ()) :: !wake_ctx
 
 let exit_wake_ctx () =
   match !wake_ctx with [] -> () | _ :: rest -> wake_ctx := rest
@@ -448,7 +450,7 @@ let info_of sp =
     i_dur = span_dur sp;
     i_residual = sp.residual;
     i_path = sp.path;
-    i_segs = List.rev_map (fun s -> (s.slabel, s.s_t0, s.s_t1)) sp.segs;
+    i_segs = List.rev_map (fun s -> (s.slabel, Int64.of_int s.s_t0, Int64.of_int s.s_t1)) sp.segs;
   }
 
 let class_names () =

@@ -647,6 +647,60 @@ let test_blk_reads_do_not_allocate () =
   check_int "no live cache chunk after a flush" 0 st.live_chunks;
   check_int "the drained chunk is pooled" 1 st.pooled_chunks
 
+(* Host access off the device raises before touching anything: the
+   image, the cache and the counters are exactly as they were. *)
+let test_blk_backing_out_of_range () =
+  setup ();
+  Machine.Irq_chip.set_dispatcher (fun _ -> ());
+  let blk = new_blk () in
+  let img = Machine.Virtio_blk.disk_image blk in
+  Machine.Virtio_blk.write_backing blk ~sector:56 (Bytes.make (8 * 512) 'a');
+  ignore (blk_submit ~typ:1 ~sector:62 ~nsect:2 ~data:blk_wbuf);
+  let view () = Machine.Virtio_blk.read_backing blk ~sector:56 ~len:(8 * 512) in
+  let before = view () and st0 = Machine.Virtio_blk.cache_stats blk in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (sector, nsect) ->
+      let what = Printf.sprintf "sector %d x%d" sector nsect in
+      raises ("write " ^ what) (fun () ->
+          Machine.Virtio_blk.write_backing blk ~sector (Bytes.make (nsect * 512) 'z'));
+      raises ("read " ^ what) (fun () ->
+          ignore (Machine.Virtio_blk.read_backing blk ~sector ~len:(nsect * 512))))
+    [ (63, 2); (64, 1); (-1, 1); (-8, 9); (max_int - 1, 2); (min_int, 1) ];
+  raises "partial sector" (fun () -> Machine.Virtio_blk.write_backing blk ~sector:0 (Bytes.make 100 'z'));
+  check "view unchanged" true (Bytes.equal before (view ()));
+  check_int "image chunks unchanged" 1 (Machine.Virtio_blk.image_chunks img);
+  check_int "no persists" 0 (Machine.Virtio_blk.persist_count blk);
+  check "cache unchanged" true (Machine.Virtio_blk.cache_stats blk = st0);
+  check_int "flush still drains the cached pair" 0 (blk_submit ~typ:2 ~sector:0 ~nsect:0 ~data:0);
+  check_int "two persists" 2 (Machine.Virtio_blk.persist_count blk)
+
+(* A descriptor whose sector field is near the top of the int range (or
+   negative once converted) completes with status 1; [sector + nsect]
+   must not wrap into range. *)
+let test_blk_huge_sector () =
+  setup ();
+  Machine.Irq_chip.set_dispatcher (fun _ -> ());
+  let blk = new_blk () in
+  List.iter
+    (fun sector ->
+      List.iter
+        (fun typ ->
+          check_int
+            (Printf.sprintf "type %d sector %d" typ sector)
+            1
+            (blk_submit ~typ ~sector ~nsect:2 ~data:blk_rbuf))
+        [ 0; 1; 3 ])
+    [ max_int - 1; max_int; blk_cap - 1; -1; min_int ];
+  check "device alive" false (Machine.Virtio_blk.is_dead blk);
+  check_int "nothing persisted" 0 (Machine.Virtio_blk.persist_count blk);
+  check_int "nothing cached" 0 (Machine.Virtio_blk.cache_stats blk).live_chunks;
+  check_int "failed requests" 15 (Machine.Virtio_blk.requests_failed blk)
+
 let prop_phys_roundtrip =
   QCheck.Test.make ~name:"phys_random_roundtrips" ~count:200
     QCheck.(pair (int_range 0 100000) (string_of_size (QCheck.Gen.int_range 1 9000)))
@@ -706,6 +760,9 @@ let () =
           Alcotest.test_case "virtio_blk_iommu" `Quick test_virtio_blk_iommu_blocks_dma;
           Alcotest.test_case "virtio_blk_reads_do_not_allocate" `Quick
             test_blk_reads_do_not_allocate;
+          Alcotest.test_case "virtio_blk_backing_out_of_range" `Quick
+            test_blk_backing_out_of_range;
+          Alcotest.test_case "virtio_blk_huge_sector" `Quick test_blk_huge_sector;
           Alcotest.test_case "virtio_net_tx_rx" `Quick test_virtio_net_tx_rx;
           Alcotest.test_case "virtio_net_backlog" `Quick test_virtio_net_backlog;
         ] );

@@ -34,7 +34,23 @@ let test_clock_observers () =
   Sim.Clock.charge 5;
   Alcotest.(check (list int64)) "deltas" [ 10L; 90L ] (List.rev !seen);
   check_int "cleared" 0 (Sim.Clock.observers ());
-  Alcotest.(check int64) "time kept" 105L (Sim.Clock.now ())
+  Alcotest.(check int64) "time kept" 105L (Sim.Clock.now ());
+  check_int "cycles is now" 105 (Sim.Clock.cycles ());
+  Sim.Clock.advance_to_cycles 150;
+  Sim.Clock.advance_to_cycles 120;
+  check_int "advance_to_cycles is monotonic" 150 (Sim.Clock.cycles ())
+
+(* A trigger fires on exactly the k-th consult of its own site, once. *)
+let test_fault_trigger_one_shot () =
+  Sim.Fault.reset ();
+  check "unarmed" false (Sim.Fault.countdown "t.site");
+  Sim.Fault.set_trigger "t.site" ~after:2;
+  let got = List.init 5 (fun _ -> Sim.Fault.countdown "t.site") in
+  Alcotest.(check (list bool)) "fires at 2 only" [ false; false; true; false; false ] got;
+  check "other site" false (Sim.Fault.countdown "t.other");
+  Alcotest.check_raises "negative" (Invalid_argument "Fault.set_trigger: negative count") (fun () ->
+      Sim.Fault.set_trigger "t.site" ~after:(-1));
+  Sim.Fault.reset ()
 
 let test_clock_negative_charge () =
   Alcotest.check_raises "negative" (Invalid_argument "Clock.charge: negative cost") (fun () ->
@@ -436,6 +452,7 @@ let () =
           Alcotest.test_case "negative_charge" `Quick test_clock_negative_charge;
           Alcotest.test_case "observers" `Quick test_clock_observers;
         ] );
+      ("fault", [ Alcotest.test_case "trigger_one_shot" `Quick test_fault_trigger_one_shot ]);
       ( "events",
         [
           Alcotest.test_case "order" `Quick test_events_order;
